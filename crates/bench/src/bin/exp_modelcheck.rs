@@ -13,7 +13,7 @@
 //! and storage backend.
 //!
 //! Gathering and alignment cells run on the **canonical symmetry quotient**
-//! with σ-threaded liveness (`check_protocol_quotient`): states are
+//! with σ-threaded liveness (`check_protocol_quotient_with_stats`): states are
 //! deduplicated up to ring rotation/reflection *and* robot relabeling, and
 //! fairness is re-established over concrete robots by threading the
 //! accumulated relabeling along quotient edges.  On the previously-proved
@@ -65,13 +65,14 @@
 
 use std::time::Instant;
 
+use rr_bench::cache::{fnv1a64, FNV_OFFSET};
 use rr_bench::sweep::{
     exit_if_failed, grid_map, parse_byte_size, ExpArgs, ModelCheckRecord, ScaleRecord,
 };
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient_with_stats, check_protocol_with_stats,
-    replay_counterexample, CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind,
-    DEFAULT_MAX_STATES, DEFAULT_MEM_BUDGET,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
+    CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind, DEFAULT_MAX_STATES,
+    DEFAULT_MEM_BUDGET,
 };
 use rr_checker::StoreKind;
 use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
@@ -134,96 +135,131 @@ fn previously_proved(cell: &Cell) -> bool {
     cell.n <= 10 && cell.k <= 5
 }
 
-fn check_cell_protocol<P: Protocol + Clone + Send>(
-    protocol: &P,
-    invariant: &dyn Invariant,
-    cell: &Cell,
-    cfg: &CheckCfg,
-    record: &mut ModelCheckRecord,
-) {
-    let initials = enumerate_rigid_configurations(cell.n, cell.k);
-    record.initial_classes = initials.len() as u64;
-    if initials.is_empty() {
-        record.vacuous = true;
+/// A run over one cell's protocol and invariant.  Their types differ per
+/// task, so the run is a trait with a generic method rather than a closure;
+/// [`Cell::dispatch`] is the one place that picks the pair.
+trait CellRun {
+    type Output;
+    fn run<P: Protocol + Clone + Send>(
+        self,
+        protocol: &P,
+        invariant: &dyn Invariant,
+    ) -> Self::Output;
+}
+
+impl Cell {
+    /// Runs `run` on the cell's protocol and invariant; `None` when a
+    /// searching cell has no protocol.
+    fn dispatch<R: CellRun>(&self, run: R) -> Option<R::Output> {
+        match self.task {
+            CellTask::Gathering => {
+                Some(run.run(&GatheringProtocol::new(), &GatheringInvariant::new()))
+            }
+            CellTask::Alignment => Some(run.run(&AlignProtocol::new(), &AlignmentInvariant::new())),
+            CellTask::Searching => protocol_for(Task::GraphSearching, self.n, self.k)
+                .map(|protocol| run.run(&protocol, &SearchingInvariant::new())),
+        }
+    }
+}
+
+/// E10: checks every rigid initial class of a claimed cell into `record`.
+struct CheckCell<'a> {
+    cell: &'a Cell,
+    cfg: &'a CheckCfg,
+    record: &'a mut ModelCheckRecord,
+}
+
+impl CellRun for CheckCell<'_> {
+    type Output = ();
+
+    fn run<P: Protocol + Clone + Send>(self, protocol: &P, invariant: &dyn Invariant) {
+        let CheckCell { cell, cfg, record } = self;
+        let initials = enumerate_rigid_configurations(cell.n, cell.k);
+        record.initial_classes = initials.len() as u64;
+        if initials.is_empty() {
+            record.vacuous = true;
+            record.ok = true;
+            return;
+        }
         record.ok = true;
-        return;
-    }
-    record.ok = true;
-    // Accumulated packed payload bytes; divided down to `bytes_per_state`
-    // by the caller once every class is in.
-    let mut state_bytes = 0u64;
-    for initial in &initials {
-        let options = ExploreOptions::new(cell.mode)
-            .with_workers(cfg.workers)
-            .with_store(cfg.store)
-            .with_mem_budget(cfg.mem_budget)
-            .with_max_states(cfg.max_states);
-        let (report, stats) =
-            match check_protocol_quotient_with_stats(protocol, initial, invariant, &options) {
-                Ok(pair) => pair,
-                Err(e) => {
+        // Accumulated packed payload bytes; divided down to `bytes_per_state`
+        // by the caller once every class is in.
+        let mut state_bytes = 0u64;
+        for initial in &initials {
+            let options = ExploreOptions::new(cell.mode)
+                .with_workers(cfg.workers)
+                .with_store(cfg.store)
+                .with_mem_budget(cfg.mem_budget)
+                .with_max_states(cfg.max_states);
+            let (report, stats) =
+                match check_protocol_quotient_with_stats(protocol, initial, invariant, &options) {
+                    Ok(pair) => pair,
+                    Err(e) => {
+                        record.ok = false;
+                        record.counterexample = format!("engine rejected the initial state: {e}");
+                        return;
+                    }
+                };
+            if previously_proved(cell) {
+                // Cross-check: on the grid the concrete checker already proved,
+                // the quotient verdict must agree with the concrete one —
+                // verified/falsified, and the violation kind when falsified.
+                let concrete =
+                    match check_protocol_with_stats(protocol, initial, invariant, &options) {
+                        Ok((concrete, _)) => concrete,
+                        Err(e) => {
+                            record.ok = false;
+                            record.counterexample =
+                                format!("engine rejected the initial state: {e}");
+                            return;
+                        }
+                    };
+                let quotient_kind = report.counterexample().map(|ce| ce.kind);
+                let concrete_kind = concrete.counterexample().map(|ce| ce.kind);
+                if report.verified() != concrete.verified() || quotient_kind != concrete_kind {
                     record.ok = false;
-                    record.counterexample = format!("engine rejected the initial state: {e}");
+                    record.counterexample = format!(
+                        "quotient/concrete verdict mismatch from {initial}: \
+                         quotient {:?} vs concrete {:?}",
+                        report.outcome, concrete.outcome
+                    );
                     return;
                 }
-            };
-        if previously_proved(cell) {
-            // Cross-check: on the grid the concrete checker already proved,
-            // the quotient verdict must agree with the concrete one —
-            // verified/falsified, and the violation kind when falsified.
-            let concrete = match check_protocol(protocol, initial, invariant, &options) {
-                Ok(concrete) => concrete,
-                Err(e) => {
+            }
+            record.states += report.states as u64;
+            record.quotient_states += report.quotient_states as u64;
+            record.edges += report.edges;
+            record.target_states += report.target_states as u64;
+            record.progress_edges += report.progress_edges;
+            record.peak_resident_nodes = record
+                .peak_resident_nodes
+                .max(report.peak_resident_nodes as u64);
+            record.peak_resident_bytes = record.peak_resident_bytes.max(report.peak_resident_bytes);
+            record.spilled_bytes += stats.spilled_bytes;
+            record.visited_spilled_bytes += stats.visited_spilled_bytes;
+            state_bytes += report.state_bytes;
+            match &report.outcome {
+                CheckOutcome::Verified => {}
+                CheckOutcome::BudgetExceeded {
+                    discovered,
+                    completed_expansions,
+                } => {
                     record.ok = false;
-                    record.counterexample = format!("engine rejected the initial state: {e}");
+                    record.counterexample = format!(
+                        "state budget exceeded from {initial}: {discovered} states discovered, \
+                         {completed_expansions} expansions completed"
+                    );
                     return;
                 }
-            };
-            let quotient_kind = report.counterexample().map(|ce| ce.kind);
-            let concrete_kind = concrete.counterexample().map(|ce| ce.kind);
-            if report.verified() != concrete.verified() || quotient_kind != concrete_kind {
-                record.ok = false;
-                record.counterexample = format!(
-                    "quotient/concrete verdict mismatch from {initial}: \
-                     quotient {:?} vs concrete {:?}",
-                    report.outcome, concrete.outcome
-                );
-                return;
+                CheckOutcome::Falsified(ce) => {
+                    record.ok = false;
+                    record.counterexample = format!("from {initial}: {}", ce.render());
+                    return;
+                }
             }
         }
-        record.states += report.states as u64;
-        record.quotient_states += report.quotient_states as u64;
-        record.edges += report.edges;
-        record.target_states += report.target_states as u64;
-        record.progress_edges += report.progress_edges;
-        record.peak_resident_nodes = record
-            .peak_resident_nodes
-            .max(report.peak_resident_nodes as u64);
-        record.peak_resident_bytes = record.peak_resident_bytes.max(report.peak_resident_bytes);
-        record.spilled_bytes += stats.spilled_bytes;
-        record.visited_spilled_bytes += stats.visited_spilled_bytes;
-        state_bytes += report.state_bytes;
-        match &report.outcome {
-            CheckOutcome::Verified => {}
-            CheckOutcome::BudgetExceeded {
-                discovered,
-                completed_expansions,
-            } => {
-                record.ok = false;
-                record.counterexample = format!(
-                    "state budget exceeded from {initial}: {discovered} states discovered, \
-                     {completed_expansions} expansions completed"
-                );
-                return;
-            }
-            CheckOutcome::Falsified(ce) => {
-                record.ok = false;
-                record.counterexample = format!("from {initial}: {}", ce.render());
-                return;
-            }
-        }
+        record.bytes_per_state = state_bytes.checked_div(record.states).unwrap_or(0);
     }
-    record.bytes_per_state = state_bytes.checked_div(record.states).unwrap_or(0);
 }
 
 fn run_cell(cell: Cell, experiment: &str, cfg: &CheckCfg) -> ModelCheckRecord {
@@ -258,33 +294,12 @@ fn run_cell(cell: Cell, experiment: &str, cfg: &CheckCfg) -> ModelCheckRecord {
         record.wall_nanos = started.elapsed().as_nanos();
         return record;
     }
-    match cell.task {
-        CellTask::Gathering => check_cell_protocol(
-            &GatheringProtocol::new(),
-            &GatheringInvariant::new(),
-            &cell,
-            cfg,
-            &mut record,
-        ),
-        CellTask::Alignment => check_cell_protocol(
-            &AlignProtocol::new(),
-            &AlignmentInvariant::new(),
-            &cell,
-            cfg,
-            &mut record,
-        ),
-        CellTask::Searching => {
-            let protocol =
-                protocol_for(Task::GraphSearching, cell.n, cell.k).expect("claimed cell");
-            check_cell_protocol(
-                &protocol,
-                &SearchingInvariant::new(),
-                &cell,
-                cfg,
-                &mut record,
-            );
-        }
-    }
+    cell.dispatch(CheckCell {
+        cell: &cell,
+        cfg,
+        record: &mut record,
+    })
+    .expect("claimed cells have a protocol");
     record.wall_nanos = started.elapsed().as_nanos();
     record.states_per_sec = (u128::from(record.states) * 1_000_000_000)
         .checked_div(record.wall_nanos)
@@ -311,13 +326,14 @@ fn selftest() -> Result<(), String> {
         InterleavingMode::SsyncSubsets,
         InterleavingMode::AsyncPhases,
     ] {
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &mutant,
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(mode),
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .0;
         let Some(ce) = report.counterexample() else {
             return Err(format!("{mode}: idle mutant was NOT falsified"));
         };
@@ -339,13 +355,14 @@ fn selftest() -> Result<(), String> {
         MutatedProtocol::<AlignProtocol>::trigger_for(&c_star),
         Decision::Move(ViewIndex::First),
     );
-    let report = check_protocol(
+    let report = check_protocol_with_stats(
         &mutant,
         &c_star,
         &AlignmentInvariant::new(),
         &ExploreOptions::new(InterleavingMode::AsyncPhases),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?
+    .0;
     let Some(ce) = report.counterexample() else {
         return Err("move mutant was NOT falsified".to_string());
     };
@@ -365,17 +382,6 @@ fn selftest() -> Result<(), String> {
         ce.render()
     );
     Ok(())
-}
-
-/// FNV-1a over `bytes`: the digest the scale-bench gate compares across
-/// worker counts.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// One scale-bench row: explores every rigid initial class of `cell` on the
@@ -407,47 +413,24 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
         wall_nanos: 0,
     };
     let mut basis = String::new();
-    let run = |record: &mut ScaleRecord, basis: &mut String| -> Result<(), String> {
-        match cell.task {
-            CellTask::Gathering => scale_cell_protocol(
-                &GatheringProtocol::new(),
-                &GatheringInvariant::new(),
-                cell,
-                workers,
-                mem_budget,
-                max_states,
-                record,
-                basis,
-            ),
-            CellTask::Alignment => scale_cell_protocol(
-                &AlignProtocol::new(),
-                &AlignmentInvariant::new(),
-                cell,
-                workers,
-                mem_budget,
-                max_states,
-                record,
-                basis,
-            ),
-            CellTask::Searching => {
-                let protocol = protocol_for(Task::GraphSearching, cell.n, cell.k)
-                    .ok_or_else(|| format!("no searching protocol for ({}, {})", cell.n, cell.k))?;
-                scale_cell_protocol(
-                    &protocol,
-                    &SearchingInvariant::new(),
-                    cell,
-                    workers,
-                    mem_budget,
-                    max_states,
-                    record,
-                    basis,
-                )
-            }
-        }
-    };
-    match run(&mut record, &mut basis) {
+    let result = cell
+        .dispatch(ScaleCell {
+            cell,
+            workers,
+            mem_budget,
+            max_states,
+            record: &mut record,
+            basis: &mut basis,
+        })
+        .unwrap_or_else(|| {
+            Err(format!(
+                "no searching protocol for ({}, {})",
+                cell.n, cell.k
+            ))
+        });
+    match result {
         Ok(()) => {
-            record.report_digest = fnv1a(basis.as_bytes());
+            record.report_digest = fnv1a64(FNV_OFFSET, basis.as_bytes());
             record.ok = true; // the cross-worker gate may still clear this
         }
         Err(e) => {
@@ -462,60 +445,77 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
     record
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scale_cell_protocol<P: Protocol + Clone + Send>(
-    protocol: &P,
-    invariant: &dyn Invariant,
-    cell: &Cell,
+/// E16: explores every rigid initial class of a cell into `record` and the
+/// digest `basis`.
+struct ScaleCell<'a> {
+    cell: &'a Cell,
     workers: usize,
     mem_budget: u64,
     max_states: usize,
-    record: &mut ScaleRecord,
-    basis: &mut String,
-) -> Result<(), String> {
-    use std::fmt::Write as _;
-    let initials = enumerate_rigid_configurations(cell.n, cell.k);
-    if initials.is_empty() {
-        return Err(format!(
-            "({}, {}) has no rigid initial class",
-            cell.n, cell.k
-        ));
-    }
-    let options = ExploreOptions::new(cell.mode)
-        .with_workers(workers)
-        .with_store(StoreKind::Spill)
-        .with_mem_budget(mem_budget)
-        .with_max_states(max_states);
-    for initial in &initials {
-        let (report, stats) = check_protocol_with_stats(protocol, initial, invariant, &options)
-            .map_err(|e| format!("engine rejected {initial}: {e}"))?;
-        record.states += report.states as u64;
-        record.edges += report.edges;
-        record.peak_resident_bytes = record.peak_resident_bytes.max(report.peak_resident_bytes);
-        record.spilled_bytes += stats.spilled_bytes;
-        record.visited_spilled_bytes += stats.visited_spilled_bytes;
-        record.expand_nanos += stats.expand_nanos;
-        record.merge_nanos += stats.merge_nanos;
-        // Every deterministic report field joins the digest basis — the
-        // outcome's Debug form includes the full counterexample when one
-        // exists, so falsified runs are compared schedule for schedule.
-        let _ = write!(
+    record: &'a mut ScaleRecord,
+    basis: &'a mut String,
+}
+
+impl CellRun for ScaleCell<'_> {
+    type Output = Result<(), String>;
+
+    fn run<P: Protocol + Clone + Send>(
+        self,
+        protocol: &P,
+        invariant: &dyn Invariant,
+    ) -> Result<(), String> {
+        let ScaleCell {
+            cell,
+            workers,
+            mem_budget,
+            max_states,
+            record,
             basis,
-            "{initial}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?};",
-            report.states,
-            report.quotient_states,
-            report.edges,
-            report.target_states,
-            report.progress_edges,
-            report.peak_resident_nodes,
-            report.peak_resident_bytes,
-            report.state_bytes,
-            stats.spilled_bytes,
-            stats.visited_spilled_bytes,
-            report.outcome
-        );
+        } = self;
+        use std::fmt::Write as _;
+        let initials = enumerate_rigid_configurations(cell.n, cell.k);
+        if initials.is_empty() {
+            return Err(format!(
+                "({}, {}) has no rigid initial class",
+                cell.n, cell.k
+            ));
+        }
+        let options = ExploreOptions::new(cell.mode)
+            .with_workers(workers)
+            .with_store(StoreKind::Spill)
+            .with_mem_budget(mem_budget)
+            .with_max_states(max_states);
+        for initial in &initials {
+            let (report, stats) = check_protocol_with_stats(protocol, initial, invariant, &options)
+                .map_err(|e| format!("engine rejected {initial}: {e}"))?;
+            record.states += report.states as u64;
+            record.edges += report.edges;
+            record.peak_resident_bytes = record.peak_resident_bytes.max(report.peak_resident_bytes);
+            record.spilled_bytes += stats.spilled_bytes;
+            record.visited_spilled_bytes += stats.visited_spilled_bytes;
+            record.expand_nanos += stats.expand_nanos;
+            record.merge_nanos += stats.merge_nanos;
+            // Every deterministic report field joins the digest basis — the
+            // outcome's Debug form includes the full counterexample when one
+            // exists, so falsified runs are compared schedule for schedule.
+            let _ = write!(
+                basis,
+                "{initial}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:?};",
+                report.states,
+                report.quotient_states,
+                report.edges,
+                report.target_states,
+                report.progress_edges,
+                report.peak_resident_nodes,
+                report.peak_resident_bytes,
+                report.state_bytes,
+                stats.spilled_bytes,
+                stats.visited_spilled_bytes,
+                report.outcome
+            );
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The E16 worker-scaling bench: one fixed spill cell re-explored per

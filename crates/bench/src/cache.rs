@@ -22,8 +22,9 @@ use std::path::{Path, PathBuf};
 use crate::ledger;
 use crate::sweep::SweepHeader;
 
-/// Folds `bytes` into an FNV-1a 64-bit hash.
-fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into an FNV-1a 64-bit hash (start from [`FNV_OFFSET`]).
+#[must_use]
+pub fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -32,7 +33,7 @@ fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The content-address of a sweep result: hash of the grid's canonical
 /// encoding folded with the engine's semantic version.

@@ -39,17 +39,20 @@
 //! the rr-sweep records already pin.  Set the worker count with
 //! [`ExploreOptions::with_workers`] (default: one per available core).
 //!
-//! Two deduplication regimes are offered.  [`check_protocol`] keys states by
-//! their exact behavioural identity ([`PackedState::behavior_sig`], the
-//! packed form of [`EngineState::exact_key`]) — robot identities preserved,
-//! as per-robot fairness is **not** invariant under relabeling — and
-//! reports, as a statistic, how many canonical classes
+//! Two entry points share this engine.  [`check_protocol_quotient_with_stats`]
+//! is the checker: it dedups on canonical classes
 //! ([`PackedState::canonical_sig`], the Booth least-rotation quotient by
-//! ring rotation/reflection + robot relabeling) the concrete states collapse
-//! to.  [`check_safety_quotient`] dedups directly on canonical classes,
-//! which is sound for safety (a bad state is reachable iff an isomorphic one
-//! is) and explores the `≈ 2n`-fold smaller quotient graph; the two regimes
-//! must agree on every safety verdict, which the test suite pins.
+//! ring rotation/reflection + robot relabeling), which is sound for safety
+//! (a bad state is reachable iff an isomorphic one is) and, with the
+//! σ-threaded analysis below, for per-robot fairness liveness, and explores
+//! the `≈ 2n`-fold smaller quotient graph; it switches to exact keys on its
+//! own where the quotient is unsound (auxiliary path state, fault budgets).
+//! [`check_protocol_with_stats`] is the exact-key reference it is
+//! cross-checked against: it keys states by their exact behavioural
+//! identity ([`PackedState::behavior_sig`], the packed form of
+//! [`EngineState::exact_key`]) and reports, as a statistic, how many
+//! canonical classes the concrete states collapse to.  The two must agree on
+//! every verdict, which the test suite pins.
 //!
 //! Counterexamples [`replay`](replay_counterexample) on a fresh [`Engine`]:
 //! a safety trace reproduces its violation at the final step, a liveness
@@ -391,7 +394,9 @@ pub struct ExploreReport {
     /// Distinct canonical (rotation/reflection/relabeling) classes among the
     /// explored *engine* states (auxiliary path state, e.g. contamination, is
     /// not part of the class key — for invariants carrying one, this counts
-    /// the engine-state classes the full states project onto).
+    /// the engine-state classes the full states project onto).  The quotient
+    /// entry point reports its stored state count here, even where it
+    /// switched to exact keys.
     pub quotient_states: usize,
     /// Edges of the explored graph.
     pub edges: u64,
@@ -546,41 +551,32 @@ fn corrupt_code_parts(code: u32) -> Option<(RobotId, CorruptionKind, u64)> {
     }
 }
 
-/// The engine step a code drives: the decoded step for regular codes, the
-/// underlying Look / SSYNC round for corrupt codes, `None` for crash codes
-/// (which step nothing).
-fn code_engine_step(code: u32) -> Option<SchedulerStep> {
+/// The regular code a code drives on the engine: the code itself for
+/// regular codes, the underlying Look / SSYNC round for corrupt codes,
+/// `None` for crash codes (which step nothing).
+fn engine_code(code: u32) -> Option<u32> {
     if code & 3 != STEP_FAULT {
-        return Some(decode_step(code));
+        return Some(code);
     }
     let payload = code >> 2;
     match payload & 3 {
-        FAULT_LOOK => Some(SchedulerStep::Look(((payload >> 2) & 31) as usize)),
-        FAULT_ROUND => {
-            let mask = payload >> 8;
-            Some(SchedulerStep::SsyncRound(
-                (0..32usize).filter(|&r| mask & (1 << r) != 0).collect(),
-            ))
-        }
+        FAULT_LOOK => Some(((payload >> 2) & 31) << 2 | STEP_LOOK),
+        FAULT_ROUND => Some((payload >> 8) << 2 | STEP_SSYNC),
         _ => None,
     }
 }
 
-/// Materializes the [`SchedulerStep`] a regular code stands for.  Fault
-/// codes never reach this (they are realized via [`realize_codes`]).
-fn decode_step(code: u32) -> SchedulerStep {
-    debug_assert_ne!(code & 3, STEP_FAULT, "fault codes have no direct step");
-    let payload = code >> 2;
-    match code & 3 {
-        STEP_LOOK => SchedulerStep::Look(payload as usize),
-        STEP_EXECUTE => SchedulerStep::Execute(payload as usize),
-        _ => SchedulerStep::SsyncRound((0..32usize).filter(|&r| payload & (1 << r) != 0).collect()),
-    }
+/// The engine step a code drives ([`engine_code`], decoded).
+fn code_engine_step(code: u32) -> Option<SchedulerStep> {
+    engine_code(code).map(|code| decode_step_with(code, &mut Vec::new()))
 }
 
-/// [`decode_step`] recycling `buf` as the SSYNC robot vector (the hot loop
-/// never allocates per step); return the vector with [`recycle_step`].
+/// Materializes the [`SchedulerStep`] a regular code stands for, recycling
+/// `buf` as the SSYNC robot vector (the hot loop never allocates per step);
+/// return the vector with [`recycle_step`].  Fault codes never reach this
+/// (they decode via [`engine_code`]).
 fn decode_step_with(code: u32, buf: &mut Vec<usize>) -> SchedulerStep {
+    debug_assert_ne!(code & 3, STEP_FAULT, "fault codes have no direct step");
     let payload = code >> 2;
     match code & 3 {
         STEP_LOOK => SchedulerStep::Look(payload as usize),
@@ -607,17 +603,10 @@ fn recycle_step(step: SchedulerStep, buf: &mut Vec<usize>) {
 /// [`NondeterministicScheduler::activation_mask`] of the decoded step; for
 /// corrupt codes, of their underlying step; crash codes activate nobody).
 fn step_activation_mask(code: u32) -> u32 {
-    match code & 3 {
-        STEP_SSYNC => code >> 2,
-        STEP_LOOK | STEP_EXECUTE => 1 << (code >> 2),
-        _ => {
-            let payload = code >> 2;
-            match payload & 3 {
-                FAULT_LOOK => 1 << ((payload >> 2) & 31),
-                FAULT_ROUND => payload >> 8,
-                _ => 0,
-            }
-        }
+    match engine_code(code) {
+        Some(code) if code & 3 == STEP_SSYNC => code >> 2,
+        Some(code) => 1 << (code >> 2),
+        None => 0,
     }
 }
 
@@ -797,8 +786,8 @@ struct Graph<'a> {
     edges: &'a [Edge],
 }
 
-impl Graph<'_> {
-    fn out(&self, u: usize) -> &[Edge] {
+impl<'a> Graph<'a> {
+    fn out(&self, u: usize) -> &'a [Edge] {
         &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 }
@@ -811,80 +800,36 @@ fn state_view(state: &EngineState, crashed: u32) -> StateView<'_> {
 // Public entry points.
 // ---------------------------------------------------------------------------
 
-/// Exhaustively checks `protocol` against `invariant` from `initial`,
-/// deduplicating on exact behavioural state identity (sound for safety *and*
-/// per-robot fairness liveness).
+/// The checker: exhaustively checks `protocol` against `invariant` from
+/// `initial` — safety on every edge, and liveness unless
+/// [`ExploreOptions::safety_only`] — and returns the report plus the storage
+/// backend's [`StoreStats`] (spilled bytes and the like; everything in the
+/// report itself is backend-independent by design).
+///
+/// States are deduplicated on the canonical symmetry quotient (ring
+/// rotation/reflection and robot relabeling, an `≈ 2n`-fold smaller graph)
+/// whenever that is sound.  Safety survives the quotient directly (a
+/// violating edge exists iff an isomorphic one does); liveness is decided on
+/// it by threading the accumulated robot relabeling
+/// ([`rr_core::relabel::RobotPerm`]) along quotient edges, so that fairness
+/// — a per-robot property the quotient forgets — is re-established over
+/// *concrete* robots.
+///
+/// For invariants carrying auxiliary path state, or under fault budgets,
+/// the exploration switches to exact keys on its own: a sound class key
+/// would have to canonicalize the engine state and the auxiliary state
+/// jointly, and crashed masks and fairness exemptions are per-robot-id.
+/// The report then equals [`check_protocol_with_stats`]'s in every field
+/// except [`ExploreReport::quotient_states`].  In the (astronomically
+/// unlikely) event that the threaded analysis exceeds its internal state
+/// cap, the checker transparently re-runs the exact exploration, so the
+/// verdict is always complete.
 ///
 /// # Errors
 ///
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine; violations found during the search are reported as
 /// [`CheckOutcome::Falsified`].
-pub fn check_protocol<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    Ok(check_protocol_with_stats(protocol, initial, invariant, options)?.0)
-}
-
-/// [`check_protocol`], additionally returning the storage backend's
-/// [`StoreStats`] (spilled bytes and the like) — everything in the report
-/// itself is backend-independent by design.
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
-pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<(ExploreReport, StoreStats), SimError> {
-    let (report, stats, _) = explore(protocol, initial, invariant, options, Dedup::Exact)?;
-    Ok((report, stats))
-}
-
-/// Exhaustive check — safety *and* liveness — on the canonical symmetry
-/// quotient: states are deduplicated up to ring rotation/reflection and
-/// robot relabeling (the `≈ 2n`-fold smaller graph of
-/// [`check_safety_quotient`]), and liveness is decided soundly on that
-/// quotient by threading the accumulated robot relabeling
-/// ([`rr_core::relabel::RobotPerm`]) along quotient edges, so that fairness
-/// — a per-robot property the quotient forgets — is re-established over
-/// *concrete* robots.  The verdict equals [`check_protocol`]'s on every
-/// instance; `tests/exhaustive_small_instances.rs` pins that equality over
-/// the proved grid.
-///
-/// For invariants carrying auxiliary path state, or under fault budgets,
-/// the exploration falls back to exact keys (like [`check_safety_quotient`])
-/// and liveness is decided concretely — same verdict, no quotient savings.
-/// In the (astronomically unlikely) event that the threaded analysis
-/// exceeds its internal state cap, the checker transparently re-runs the
-/// exact exploration, so the verdict is always complete.
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
-pub fn check_protocol_quotient<P: Protocol + Clone + Send>(
-    protocol: &P,
-    initial: &Configuration,
-    invariant: &dyn Invariant,
-    options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    Ok(check_protocol_quotient_with_stats(protocol, initial, invariant, options)?.0)
-}
-
-/// [`check_protocol_quotient`], additionally returning the storage
-/// backend's [`StoreStats`].
-///
-/// # Errors
-///
-/// Returns `Err` only when the initial configuration is rejected by the
-/// engine.
 pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
     protocol: &P,
     initial: &Configuration,
@@ -902,33 +847,26 @@ pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
     Ok((report, stats))
 }
 
-/// Safety-only exhaustive check deduplicating on canonical state classes:
-/// the `≈ 2n`-fold smaller symmetry quotient of the state graph.
-///
-/// Sound and complete for safety (a violating edge exists iff an isomorphic
-/// one does); liveness is intentionally unavailable here because per-robot
-/// fairness is not invariant under the robot relabeling the quotient
-/// performs — use [`check_protocol`] for liveness.
-///
-/// Only invariants without auxiliary path state get the quotient: for an
-/// invariant carrying one (the searching contamination state), a sound class
-/// key would have to canonicalize the engine state and the auxiliary state
-/// *jointly*, so this function falls back to exact keys — same exploration
-/// cost as [`check_protocol`], minus its liveness analysis.  Prefer
-/// [`check_protocol`] for those invariants.
+/// The exact-key reference checker the quotient is cross-checked against:
+/// [`check_protocol_quotient_with_stats`] with states deduplicated on exact
+/// behavioural identity (robot ids preserved), reporting as
+/// [`ExploreReport::quotient_states`] how many canonical classes the
+/// concrete states collapse to.  Verdicts of the two entry points agree on
+/// every instance; `tests/exhaustive_small_instances.rs` pins that over the
+/// proved grid.
 ///
 /// # Errors
 ///
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine.
-pub fn check_safety_quotient<P: Protocol + Clone + Send>(
+pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
     options: &ExploreOptions,
-) -> Result<ExploreReport, SimError> {
-    let options = options.safety_only();
-    Ok(explore(protocol, initial, invariant, &options, Dedup::Canonical)?.0)
+) -> Result<(ExploreReport, StoreStats), SimError> {
+    let (report, stats, _) = explore(protocol, initial, invariant, options, Dedup::Exact)?;
+    Ok((report, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,11 +1005,10 @@ fn expand_node<P: Protocol>(
             });
             new_fault = fault_word(crashed, corrupts + 1);
         }
-        let step = if code & 3 == STEP_FAULT {
-            code_engine_step(code).expect("corrupt codes drive a step")
-        } else {
-            decode_step_with(code, ssync_buf)
-        };
+        let step = decode_step_with(
+            engine_code(code).expect("non-crash codes drive a step"),
+            ssync_buf,
+        );
         let result = engine.step_into(&step, &mut (), report);
         recycle_step(step, ssync_buf);
         if corruption.is_some() {
@@ -1673,6 +1610,170 @@ fn codes_from_root(meta: &[NodeMeta], mut i: usize) -> Vec<u32> {
     codes
 }
 
+/// The prologue both liveness analyses share.  A fair path that visits a
+/// target has satisfied a Reach obligation, so lassos live among the
+/// non-target states reachable from the root through non-target states;
+/// their *eligible* edges are the non-progress edges between two such
+/// states, and the candidate lasso cycles are the SCCs of those edges.
+struct LassoScan {
+    /// Reachable from the root while avoiding targets.
+    reachable: Vec<bool>,
+    /// The target-avoiding BFS tree, as per-node `(parent, edge index)`.
+    bfs_parent: Vec<Option<(usize, usize)>>,
+    /// Per-node SCC id over the eligible edges (nodes without eligible
+    /// edges become singletons).
+    scc: Vec<usize>,
+    scc_count: usize,
+}
+
+impl LassoScan {
+    /// `None` when the root is a target: then no lasso avoids the target.
+    fn new(graph: &Graph<'_>) -> Option<Self> {
+        let nodes = graph.meta;
+        if nodes[0].target {
+            return None;
+        }
+        let mut reachable = vec![false; nodes.len()];
+        let mut bfs_parent: Vec<Option<(usize, usize)>> = vec![None; nodes.len()];
+        reachable[0] = true;
+        let mut queue = VecDeque::from([0usize]);
+        while let Some(u) = queue.pop_front() {
+            for (ei, e) in graph.out(u).iter().enumerate() {
+                let to = e.to as usize;
+                if !nodes[to].target && !reachable[to] {
+                    reachable[to] = true;
+                    bfs_parent[to] = Some((u, ei));
+                    queue.push_back(to);
+                }
+            }
+        }
+        let mut scan = LassoScan {
+            reachable,
+            bfs_parent,
+            scc: Vec::new(),
+            scc_count: 0,
+        };
+        let (scc, scc_count) = tarjan_core(nodes.len(), &|v| graph.out(v).len(), &|v, i| {
+            let e = &graph.out(v)[i];
+            scan.eligible(v, e).then_some(e.to as usize)
+        });
+        scan.scc = scc;
+        scan.scc_count = scc_count;
+        Some(scan)
+    }
+
+    /// An eligible lasso edge: non-progress, between reachable states.
+    fn eligible(&self, u: usize, e: &Edge) -> bool {
+        self.reachable[u] && self.reachable[e.to as usize] && !e.progress
+    }
+
+    /// An eligible edge inside its source's SCC.
+    fn internal(&self, u: usize, e: &Edge) -> bool {
+        self.eligible(u, e) && self.scc[e.to as usize] == self.scc[u]
+    }
+
+    /// The target-avoiding tree path from the root to `node`, as
+    /// `(node, edge index)` pairs.
+    fn tree_path(&self, mut node: usize) -> Vec<(usize, usize)> {
+        let mut path = Vec::new();
+        while let Some(step) = self.bfs_parent[node] {
+            path.push(step);
+            node = step.0;
+        }
+        path.reverse();
+        path
+    }
+}
+
+/// The message of a liveness counterexample: a fair lasso — fair modulo the
+/// `exempt` (crashed or starved) robots — that never meets the obligation.
+fn lasso_message(invariant: &dyn Invariant, exempt: u32) -> String {
+    let what = match invariant.liveness_mode() {
+        LivenessMode::Reach => "never reaching the target",
+        LivenessMode::ReachRepeatedly => "never making progress again",
+    };
+    if exempt == 0 {
+        format!("fair schedule (every robot activated in each cycle iteration) {what}")
+    } else {
+        format!(
+            "fair-modulo-faults schedule (every non-crashed, non-starved robot activated in \
+             each cycle iteration) {what}"
+        )
+    }
+}
+
+/// A non-empty closed walk from `entry` back to `entry` whose activation
+/// masks cover `required` (the fairness obligation; possibly a strict subset
+/// of the robots, or empty, under fault exemptions) — the lasso cycle of
+/// both liveness analyses.  `out(u)` lists node `u`'s edges and `follow`
+/// admits one as `(target, activation mask)`; the walk stays on admitted
+/// edges, which must form a strongly connected subgraph.  Repeated BFS in
+/// edge order: to the nearest edge activating a missing robot, then back to
+/// `entry`.  Returned as `(node, edge index)` pairs.
+fn covering_walk<'g, E: 'g>(
+    out: impl Fn(usize) -> &'g [E],
+    follow: impl Fn(usize, &E) -> Option<(usize, u32)>,
+    entry: usize,
+    required: u32,
+) -> Vec<(usize, usize)> {
+    // BFS from `from`, stopping as soon as `stop(to, mask)` holds for an
+    // edge about to be relaxed; returns the end node and the walk including
+    // that stopping edge.
+    #[allow(clippy::type_complexity)]
+    let walk_until =
+        |from: usize, stop: &dyn Fn(usize, u32) -> bool| -> (usize, Vec<(usize, usize)>) {
+            let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
+            let mut queue = VecDeque::from([from]);
+            let mut seen: HashSet<usize> = HashSet::from([from]);
+            while let Some(u) = queue.pop_front() {
+                for (ei, e) in out(u).iter().enumerate() {
+                    let Some((to, mask)) = follow(u, e) else {
+                        continue;
+                    };
+                    if stop(to, mask) {
+                        // Reconstruct from → u, then append (u, ei).
+                        let mut walk = vec![(u, ei)];
+                        let mut cur = u;
+                        while cur != from {
+                            let (p, pei) = parent[&cur];
+                            walk.push((p, pei));
+                            cur = p;
+                        }
+                        walk.reverse();
+                        return (to, walk);
+                    }
+                    if seen.insert(to) {
+                        parent.insert(to, (u, ei));
+                        queue.push_back(to);
+                    }
+                }
+            }
+            unreachable!("SCC is strongly connected and covers the mask");
+        };
+
+    let mut walk = Vec::new();
+    let mut covered = 0u32;
+    let mut cur = entry;
+    while covered & required != required {
+        let missing = required & !covered;
+        let (end, leg) = walk_until(cur, &|_, mask| mask & missing != 0);
+        for &(u, ei) in &leg {
+            let (_, mask) = follow(u, &out(u)[ei]).expect("the walk follows admitted edges");
+            covered |= mask;
+        }
+        walk.extend(leg);
+        cur = end;
+    }
+    // Close the walk — unconditionally when the obligation was empty (fully
+    // exempt SCC), so the lasso cycle is never empty.
+    if cur != entry || walk.is_empty() {
+        let (end, leg) = walk_until(cur, &|to, _| to == entry);
+        walk.extend(leg);
+        debug_assert_eq!(end, entry);
+    }
+    walk
+}
+
 /// Searches the explored graph for a fair schedule that never makes
 /// progress: a strongly connected subgraph of non-target states, reachable
 /// from the root through non-target states, whose non-progress internal
@@ -1687,150 +1788,61 @@ fn liveness_violation(
     invariant: &dyn Invariant,
 ) -> Option<Counterexample> {
     let nodes = graph.meta;
-    if nodes[0].target {
-        return None;
-    }
-    let (reachable, bfs_parent) = reach_avoiding_targets(graph);
-    // Eligible lasso edges: non-progress, between reachable non-target
-    // states.  (Target states are never `reachable`, except the root which
-    // was checked above.)
-    let eligible = |u: usize, e: &Edge| reachable[u] && reachable[e.to as usize] && !e.progress;
-
-    let (scc, scc_count) = tarjan_scc(graph, &eligible);
+    let scan = LassoScan::new(graph)?;
+    let scc = &scan.scc;
 
     // Fairness coverage per SCC: the union of activation masks over internal
     // eligible edges, plus whether the SCC has any internal edge at all, and
     // the fairness obligation — all robots minus the SCC's crashed mask
     // (every node of an SCC shares it) minus the starved robots.
-    let mut coverage = vec![0u32; scc_count];
-    let mut has_edge = vec![false; scc_count];
-    let mut required = vec![full_mask & !starve_mask; scc_count];
+    let mut coverage = vec![0u32; scan.scc_count];
+    let mut has_edge = vec![false; scan.scc_count];
+    let mut required = vec![full_mask & !starve_mask; scan.scc_count];
     for u in 0..nodes.len() {
         required[scc[u]] = full_mask & !fault_crashed(nodes[u].fault) & !starve_mask;
         for e in graph.out(u) {
-            if eligible(u, e) && scc[e.to as usize] == scc[u] {
+            if scan.internal(u, e) {
                 coverage[scc[u]] |= step_activation_mask(e.code);
                 has_edge[scc[u]] = true;
             }
         }
     }
-    let bad = (0..scc_count).find(|&c| has_edge[c] && coverage[c] & required[c] == required[c])?;
+    let bad =
+        (0..scan.scc_count).find(|&c| has_edge[c] && coverage[c] & required[c] == required[c])?;
 
     // Entry node: the first (lowest-index, hence BFS-closest) node of the bad
-    // SCC; its prefix avoids targets by construction of `bfs_parent`.
+    // SCC; its prefix avoids targets by construction of the BFS tree.
     let entry = (0..nodes.len())
         .find(|&u| scc[u] == bad)
         .expect("non-empty SCC");
-    let mut prefix_codes = Vec::new();
-    let mut cur = entry;
-    while let Some((p, ei)) = bfs_parent[cur] {
-        prefix_codes.push(graph.out(p)[ei].code);
-        cur = p;
-    }
-    prefix_codes.reverse();
-
-    let cycle_codes = covering_cycle(graph, &scc, bad, entry, required[bad], &eligible);
+    let codes = |walk: Vec<(usize, usize)>| -> Vec<u32> {
+        walk.into_iter()
+            .map(|(u, ei)| graph.out(u)[ei].code)
+            .collect()
+    };
+    let prefix_codes = codes(scan.tree_path(entry));
+    let cycle_codes = codes(covering_walk(
+        |u| graph.out(u),
+        |u, e: &Edge| {
+            scan.internal(u, e)
+                .then(|| (e.to as usize, step_activation_mask(e.code)))
+        },
+        entry,
+        required[bad],
+    ));
     let mut prefix = Vec::new();
     let mut faults = Vec::new();
     realize_codes(&prefix_codes, 0, &mut prefix, &mut faults);
     let mut cycle = Vec::new();
     realize_codes(&cycle_codes, prefix.len(), &mut cycle, &mut faults);
-    let what = match invariant.liveness_mode() {
-        LivenessMode::Reach => "never reaching the target",
-        LivenessMode::ReachRepeatedly => "never making progress again",
-    };
-    let exempt = full_mask & !required[bad];
-    let message = if exempt == 0 {
-        format!("fair schedule (every robot activated in each cycle iteration) {what}")
-    } else {
-        format!(
-            "fair-modulo-faults schedule (every non-crashed, non-starved robot activated in \
-             each cycle iteration) {what}"
-        )
-    };
     Some(Counterexample {
         kind: ViolationKind::Liveness,
-        message,
+        message: lasso_message(invariant, full_mask & !required[bad]),
         prefix,
         cycle,
         faults,
         starved: starve_mask,
     })
-}
-
-/// A non-empty closed walk from `entry` back to `entry` inside SCC
-/// `target_scc`, using only eligible edges, whose activation masks cover
-/// `required` (the fairness obligation; possibly a strict subset of the
-/// robots, or empty, under fault exemptions).  Returned as edge codes.
-fn covering_cycle(
-    graph: &Graph<'_>,
-    scc: &[usize],
-    target_scc: usize,
-    entry: usize,
-    required: u32,
-    eligible: &dyn Fn(usize, &Edge) -> bool,
-) -> Vec<u32> {
-    // BFS inside the SCC from `from`, stopping as soon as `stop(u, e)` holds
-    // for an edge about to be relaxed; returns the end node and the walk
-    // (as (node, edge-index) pairs) including that stopping edge.
-    #[allow(clippy::type_complexity)]
-    let walk_until =
-        |from: usize, stop: &dyn Fn(usize, &Edge) -> bool| -> (usize, Vec<(usize, usize)>) {
-            let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
-            let mut queue = VecDeque::from([from]);
-            let mut seen: HashSet<usize> = HashSet::from([from]);
-            while let Some(u) = queue.pop_front() {
-                for (ei, e) in graph.out(u).iter().enumerate() {
-                    if !eligible(u, e) || scc[e.to as usize] != target_scc {
-                        continue;
-                    }
-                    if stop(u, e) {
-                        // Reconstruct from → u, then append (u, ei).
-                        let mut walk = vec![(u, ei)];
-                        let mut cur = u;
-                        while cur != from {
-                            let (p, pei) = parent[&cur];
-                            walk.push((p, pei));
-                            cur = p;
-                        }
-                        walk.reverse();
-                        return (e.to as usize, walk);
-                    }
-                    if seen.insert(e.to as usize) {
-                        parent.insert(e.to as usize, (u, ei));
-                        queue.push_back(e.to as usize);
-                    }
-                }
-            }
-            unreachable!("SCC is strongly connected and covers the mask");
-        };
-    let append = |walk: Vec<(usize, usize)>, codes: &mut Vec<u32>, covered: &mut u32| {
-        for (n, ei) in walk {
-            let e = &graph.out(n)[ei];
-            *covered |= step_activation_mask(e.code);
-            codes.push(e.code);
-        }
-    };
-
-    let mut codes = Vec::new();
-    let mut covered = 0u32;
-    let mut cur = entry;
-    while covered & required != required {
-        let missing = required & !covered;
-        let (end, walk) = walk_until(cur, &|_, e: &Edge| {
-            step_activation_mask(e.code) & missing != 0
-        });
-        append(walk, &mut codes, &mut covered);
-        cur = end;
-    }
-    // Close the walk — unconditionally when the obligation was empty (fully
-    // exempt SCC), so the lasso cycle is never empty.
-    if cur != entry || codes.is_empty() {
-        let (end, walk) = walk_until(cur, &|_, e: &Edge| e.to as usize == entry);
-        append(walk, &mut codes, &mut covered);
-        debug_assert_eq!(end, entry);
-    }
-    codes
 }
 
 // ---------------------------------------------------------------------------
@@ -1956,35 +1968,32 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
     invariant: &dyn Invariant,
 ) -> Result<Option<Counterexample>, QuotientOverflow> {
     let meta = graph.meta;
-    if meta[0].target {
+    let Some(scan) = LassoScan::new(graph) else {
         return Ok(None);
-    }
+    };
     let k = full_mask.count_ones() as usize;
     assert!(
         k <= MAX_PERM_ROBOTS,
         "quotient liveness supports k ≤ {MAX_PERM_ROBOTS}"
     );
-    let (reachable, bfs_parent) = reach_avoiding_targets(graph);
-    let eligible = |u: usize, e: &Edge| reachable[u] && reachable[e.to as usize] && !e.progress;
-    let (scc, scc_count) = tarjan_scc(graph, &eligible);
 
     // Candidate SCCs: any internal eligible edge at all.  No coverage
     // prefilter on the raw masks — the quotient renames robots at every
     // edge, so only the threaded analysis can evaluate fairness coverage.
-    let mut has_edge = vec![false; scc_count];
+    let mut has_edge = vec![false; scan.scc_count];
     for u in 0..meta.len() {
         for e in graph.out(u) {
-            if eligible(u, e) && scc[e.to as usize] == scc[u] {
-                has_edge[scc[u]] = true;
+            if scan.internal(u, e) {
+                has_edge[scan.scc[u]] = true;
             }
         }
     }
     // Group candidate members once, in node-id order; candidates are then
     // processed in order of their first (lowest-id) member — deterministic
     // in the quotient graph alone.
-    let mut slot = vec![u32::MAX; scc_count];
+    let mut slot = vec![u32::MAX; scan.scc_count];
     let mut candidates: Vec<Vec<u32>> = Vec::new();
-    for (u, &c) in scc.iter().enumerate().take(meta.len()) {
+    for (u, &c) in scan.scc.iter().enumerate() {
         if !has_edge[c] {
             continue;
         }
@@ -1996,17 +2005,9 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
     }
 
     for members in &candidates {
-        if let Some(ce) = threaded_violation_in_scc(
-            graph,
-            store,
-            worker,
-            members,
-            &scc,
-            &eligible,
-            &bfs_parent,
-            invariant,
-            full_mask,
-        )? {
+        if let Some(ce) =
+            threaded_violation_in_scc(graph, &scan, store, worker, members, invariant, full_mask)?
+        {
             return Ok(Some(ce));
         }
     }
@@ -2015,19 +2016,15 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
 
 /// Builds the threaded graph of one candidate SCC, looks for a covering
 /// threaded SCC, and realizes the concrete counterexample if one exists.
-#[allow(clippy::too_many_arguments)]
 fn threaded_violation_in_scc<P: Protocol + Clone>(
     graph: &Graph<'_>,
+    scan: &LassoScan,
     store: &mut dyn StateStore,
     worker: &mut Worker<P>,
     members: &[u32],
-    scc: &[usize],
-    eligible: &dyn Fn(usize, &Edge) -> bool,
-    bfs_parent: &[Option<(usize, usize)>],
     invariant: &dyn Invariant,
     full_mask: u32,
 ) -> Result<Option<Counterexample>, QuotientOverflow> {
-    let c = scc[members[0] as usize];
     let k = full_mask.count_ones() as usize;
     let identity = RobotPerm::identity(k);
     if members.len() >= THREAD_CAP {
@@ -2044,7 +2041,7 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     let mut out: Vec<Vec<AlignedEdge>> = members.iter().map(|_| Vec::new()).collect();
     for (lu, &u) in members.iter().enumerate() {
         for e in graph.out(u as usize) {
-            if !eligible(u as usize, e) || scc[e.to as usize] != c {
+            if !scan.internal(u as usize, e) {
                 continue;
             }
             let lv = local[&e.to];
@@ -2124,21 +2121,22 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     let entry_t = (0..threads.len())
         .find(|&v| t_scc[v] == bad)
         .expect("non-empty SCC");
-    let walk = covering_thread_cycle(&t_out, &t_scc, bad, entry_t, full_mask);
+    let walk: Vec<(u32, RobotPerm)> = covering_walk(
+        |v| t_out[v].as_slice(),
+        |_, e: &ThreadEdge| (t_scc[e.to as usize] == bad).then_some((e.to as usize, e.mask)),
+        entry_t,
+        full_mask,
+    )
+    .into_iter()
+    .map(|(v, ei)| (t_out[v][ei].code, t_out[v][ei].perm))
+    .collect();
 
     // Stored-tree prefix root → entry's stored node, with per-edge
     // alignments (the worker's engine is the shared scratch).
     let (entry_local, _) = threads[entry_t];
     let entry_node = members[entry_local as usize] as usize;
-    let mut tree: Vec<(usize, usize)> = Vec::new();
-    let mut cur = entry_node;
-    while let Some((p, ei)) = bfs_parent[cur] {
-        tree.push((p, ei));
-        cur = p;
-    }
-    tree.reverse();
     let mut prefix_perms: Vec<(u32, RobotPerm)> = Vec::new();
-    for &(p, ei) in &tree {
+    for (p, ei) in scan.tree_path(entry_node) {
         let e = &graph.out(p)[ei];
         let from = store.get(p);
         let to = store.get(e.to as usize);
@@ -2155,7 +2153,7 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     let mut phi = identity;
     let mut prefix: Vec<SchedulerStep> = Vec::new();
     for (code, perm) in prefix_perms {
-        let step = decode_step(remap_code(code, &phi));
+        let step = decode_step_with(remap_code(code, &phi), &mut Vec::new());
         engine
             .step_into(&step, &mut (), &mut report)
             .expect("realized prefix step replays");
@@ -2178,7 +2176,7 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     let mut closed = false;
     for _ in 0..max_traversals {
         for &(code, ref perm) in &walk {
-            let step = decode_step(remap_code(code, &phi));
+            let step = decode_step_with(remap_code(code, &phi), &mut Vec::new());
             engine
                 .step_into(&step, &mut (), &mut report)
                 .expect("realized cycle step replays");
@@ -2196,13 +2194,9 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
          relabeling bookkeeping bug"
     );
 
-    let what = match invariant.liveness_mode() {
-        LivenessMode::Reach => "never reaching the target",
-        LivenessMode::ReachRepeatedly => "never making progress again",
-    };
     Ok(Some(Counterexample {
         kind: ViolationKind::Liveness,
-        message: format!("fair schedule (every robot activated in each cycle iteration) {what}"),
+        message: lasso_message(invariant, 0),
         prefix,
         cycle,
         faults: Vec::new(),
@@ -2210,112 +2204,12 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
     }))
 }
 
-/// A non-empty closed walk `entry → entry` in the threaded graph, inside
-/// threaded SCC `target_scc`, whose realized masks cover `required` —
-/// the threaded counterpart of [`covering_cycle`], returned as
-/// `(stored code, edge relabeling)` pairs ready for realization.
-fn covering_thread_cycle(
-    t_out: &[Vec<ThreadEdge>],
-    t_scc: &[usize],
-    target_scc: usize,
-    entry: usize,
-    required: u32,
-) -> Vec<(u32, RobotPerm)> {
-    #[allow(clippy::type_complexity)]
-    let walk_until =
-        |from: usize, stop: &dyn Fn(&ThreadEdge) -> bool| -> (usize, Vec<(usize, usize)>) {
-            let mut parent: HashMap<usize, (usize, usize)> = HashMap::new();
-            let mut queue = VecDeque::from([from]);
-            let mut seen: HashSet<usize> = HashSet::from([from]);
-            while let Some(u) = queue.pop_front() {
-                for (ei, e) in t_out[u].iter().enumerate() {
-                    if t_scc[e.to as usize] != target_scc {
-                        continue;
-                    }
-                    if stop(e) {
-                        let mut walk = vec![(u, ei)];
-                        let mut cur = u;
-                        while cur != from {
-                            let (p, pei) = parent[&cur];
-                            walk.push((p, pei));
-                            cur = p;
-                        }
-                        walk.reverse();
-                        return (e.to as usize, walk);
-                    }
-                    if seen.insert(e.to as usize) {
-                        parent.insert(e.to as usize, (u, ei));
-                        queue.push_back(e.to as usize);
-                    }
-                }
-            }
-            unreachable!("threaded SCC is strongly connected and covers the mask");
-        };
-    let append =
-        |walk: Vec<(usize, usize)>, steps: &mut Vec<(u32, RobotPerm)>, covered: &mut u32| {
-            for (u, ei) in walk {
-                let e = &t_out[u][ei];
-                *covered |= e.mask;
-                steps.push((e.code, e.perm));
-            }
-        };
-
-    let mut steps = Vec::new();
-    let mut covered = 0u32;
-    let mut cur = entry;
-    while covered & required != required {
-        let missing = required & !covered;
-        let (end, walk) = walk_until(cur, &|e| e.mask & missing != 0);
-        append(walk, &mut steps, &mut covered);
-        cur = end;
-    }
-    if cur != entry || steps.is_empty() {
-        let (end, walk) = walk_until(cur, &|e| e.to as usize == entry);
-        append(walk, &mut steps, &mut covered);
-        debug_assert_eq!(end, entry);
-    }
-    steps
-}
-
-/// The non-target states reachable from the root through non-target states
-/// (a fair path that visits a target has satisfied a Reach obligation, so
-/// lassos must be reachable while avoiding targets), plus the BFS tree as
-/// per-node `(parent, edge index)` — shared by the exact and the quotient
-/// liveness analyses.
-#[allow(clippy::type_complexity)]
-fn reach_avoiding_targets(graph: &Graph<'_>) -> (Vec<bool>, Vec<Option<(usize, usize)>>) {
-    let nodes = graph.meta;
-    let mut reachable = vec![false; nodes.len()];
-    let mut bfs_parent: Vec<Option<(usize, usize)>> = vec![None; nodes.len()];
-    reachable[0] = true;
-    let mut queue = VecDeque::from([0usize]);
-    while let Some(u) = queue.pop_front() {
-        for (ei, e) in graph.out(u).iter().enumerate() {
-            let to = e.to as usize;
-            if !nodes[to].target && !reachable[to] {
-                reachable[to] = true;
-                bfs_parent[to] = Some((u, ei));
-                queue.push_back(to);
-            }
-        }
-    }
-    (reachable, bfs_parent)
-}
-
-/// Iterative Tarjan SCC over the subgraph of eligible edges.  Every node gets
-/// an SCC id (nodes without eligible edges become singletons); returns the
-/// per-node id assignment and the number of SCCs.
-fn tarjan_scc(graph: &Graph<'_>, eligible: &dyn Fn(usize, &Edge) -> bool) -> (Vec<usize>, usize) {
-    tarjan_core(graph.meta.len(), &|v| graph.out(v).len(), &|v, i| {
-        let e = &graph.out(v)[i];
-        eligible(v, e).then_some(e.to as usize)
-    })
-}
-
-/// [`tarjan_scc`]'s algorithm over any graph given by an out-degree function
-/// and an indexed edge-target function (`None` = skip this edge) — also run
-/// over the threaded (state × relabeling) graph of the quotient-liveness
-/// analysis.
+/// Iterative Tarjan SCC over a graph given by an out-degree function and an
+/// indexed edge-target function (`None` = skip this edge): the eligible
+/// edges of the explored graph, or the threaded (state × relabeling) graph
+/// of the quotient-liveness analysis.  Every node gets an SCC id (nodes
+/// without followed edges become singletons); returns the per-node id
+/// assignment and the number of SCCs.
 fn tarjan_core(
     n: usize,
     degree: &dyn Fn(usize) -> usize,
@@ -2671,7 +2565,10 @@ mod tests {
             let expected = scheduler.frontier(&engine.scheduler_view());
             let mut codes = Vec::new();
             frontier_codes(mode, engine.robots(), 0, &mut codes);
-            let decoded: Vec<SchedulerStep> = codes.iter().map(|&c| decode_step(c)).collect();
+            let decoded: Vec<SchedulerStep> = codes
+                .iter()
+                .map(|&c| decode_step_with(c, &mut Vec::new()))
+                .collect();
             assert_eq!(decoded, expected, "mode={mode}");
             for (code, step) in codes.iter().zip(&expected) {
                 assert_eq!(
@@ -2693,13 +2590,14 @@ mod tests {
         for (n, k) in [(6usize, 3usize), (7, 3)] {
             for initial in enumerate_rigid_configurations(n, k) {
                 for mode in MODES {
-                    let report = check_protocol(
+                    let report = check_protocol_with_stats(
                         &GatheringProtocol::new(),
                         &initial,
                         &GatheringInvariant::new(),
                         &ExploreOptions::new(mode),
                     )
-                    .unwrap();
+                    .unwrap()
+                    .0;
                     assert!(
                         report.verified(),
                         "n={n} k={k} mode={mode}: {:?}",
@@ -2725,13 +2623,14 @@ mod tests {
             let reports: Vec<ExploreReport> = [1usize, 2, 5]
                 .iter()
                 .map(|&w| {
-                    check_protocol(
+                    check_protocol_with_stats(
                         &GatheringProtocol::new(),
                         &initial,
                         &GatheringInvariant::new(),
                         &ExploreOptions::new(mode).with_workers(w),
                     )
                     .unwrap()
+                    .0
                 })
                 .collect();
             assert_eq!(reports[0], reports[1], "mode={mode}");
@@ -2752,13 +2651,14 @@ mod tests {
 
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let run = |w: usize| {
-            check_protocol(
+            check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(InterleavingMode::SsyncSubsets).with_workers(w),
             )
             .unwrap()
+            .0
         };
         let reference = run(1);
         for degenerate in [0, BATCH + 7, usize::MAX] {
@@ -2770,20 +2670,22 @@ mod tests {
     fn quotient_safety_pass_agrees_and_is_smaller() {
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
-            let concrete = check_protocol(
+            let concrete = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode).safety_only(),
             )
-            .unwrap();
-            let quotient = check_safety_quotient(
+            .unwrap()
+            .0;
+            let quotient = check_protocol_quotient_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
-                &ExploreOptions::new(mode),
+                &ExploreOptions::new(mode).safety_only(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(concrete.verified() && quotient.verified(), "mode={mode}");
             // The quotient explorer's state count is exactly the number of
             // canonical classes the concrete explorer reports.
@@ -2800,20 +2702,22 @@ mod tests {
         // the two robots — the canonical quotient merges them (4 → 3).
         let initial = Configuration::from_gaps_at_origin(&[1, 3]);
         let options = ExploreOptions::new(InterleavingMode::AsyncPhases).safety_only();
-        let concrete = check_protocol(
+        let concrete = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
             &options,
         )
-        .unwrap();
-        let quotient = check_safety_quotient(
+        .unwrap()
+        .0;
+        let quotient = check_protocol_quotient_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
-            &options,
+            &options.safety_only(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(concrete.states, 4);
         assert_eq!(quotient.states, 3);
         assert_eq!(concrete.quotient_states, 3);
@@ -2832,13 +2736,14 @@ mod tests {
             Decision::Idle,
         );
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(!ce.cycle.is_empty());
@@ -2859,20 +2764,22 @@ mod tests {
         for (n, k) in [(6usize, 3usize), (7, 3)] {
             let initial = enumerate_rigid_configurations(n, k).remove(0);
             for mode in MODES {
-                let concrete = check_protocol(
+                let concrete = check_protocol_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &GatheringInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
-                let quotient = check_protocol_quotient(
+                .unwrap()
+                .0;
+                let quotient = check_protocol_quotient_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &GatheringInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert!(concrete.verified(), "n={n} k={k} mode={mode}");
                 assert!(quotient.verified(), "n={n} k={k} mode={mode}");
                 assert_eq!(quotient.states, concrete.quotient_states, "mode={mode}");
@@ -2894,13 +2801,14 @@ mod tests {
             Decision::Idle,
         );
         for mode in MODES {
-            let report = check_protocol_quotient(
+            let report = check_protocol_quotient_with_stats(
                 &mutant,
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(!ce.cycle.is_empty());
@@ -2921,10 +2829,17 @@ mod tests {
         let inv = GatheringInvariant::new();
         let options = ExploreOptions::new(InterleavingMode::AsyncPhases);
         let concrete =
-            check_protocol(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options).unwrap();
-        let quotient =
-            check_protocol_quotient(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options)
-                .unwrap();
+            check_protocol_with_stats(&rr_corda::protocol::IdleProtocol, &initial, &inv, &options)
+                .unwrap()
+                .0;
+        let quotient = check_protocol_quotient_with_stats(
+            &rr_corda::protocol::IdleProtocol,
+            &initial,
+            &inv,
+            &options,
+        )
+        .unwrap()
+        .0;
         let concrete_ce = concrete.counterexample().expect("idle never gathers");
         let ce = quotient.counterexample().expect("idle never gathers");
         assert_eq!(ce.kind, ViolationKind::Liveness);
@@ -2976,14 +2891,17 @@ mod tests {
         );
         for mode in MODES {
             let base = ExploreOptions::new(mode);
-            let mem = check_protocol(&mutant, &initial, &inv, &base).unwrap();
-            let spill = check_protocol(
+            let mem = check_protocol_with_stats(&mutant, &initial, &inv, &base)
+                .unwrap()
+                .0;
+            let spill = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &inv,
                 &base.with_store(StoreKind::Spill).with_mem_budget(0),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(mem, spill, "mode={mode}");
             assert_eq!(
                 mem.counterexample().unwrap().render(),
@@ -3009,13 +2927,14 @@ mod tests {
             (InterleavingMode::SsyncSubsets, 1),
             (InterleavingMode::AsyncPhases, 2),
         ] {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &mutant,
                 &initial,
                 &AlignmentInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("mutant must be falsified");
             assert_eq!(ce.kind, ViolationKind::Safety);
             assert_eq!(ce.prefix.len(), minimal_len, "mode={mode}: {}", ce.render());
@@ -3031,13 +2950,14 @@ mod tests {
     fn alignment_is_verified_exhaustively() {
         for initial in enumerate_rigid_configurations(7, 3) {
             for mode in MODES {
-                let report = check_protocol(
+                let report = check_protocol_with_stats(
                     &AlignProtocol::new(),
                     &initial,
                     &AlignmentInvariant::new(),
                     &ExploreOptions::new(mode),
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert!(report.verified(), "mode={mode}: {:?}", report.outcome);
             }
         }
@@ -3050,13 +2970,14 @@ mod tests {
         // invariant, and the lasso replays.
         let initial = Configuration::from_gaps_at_origin(&[1, 3]); // n=6, k=2
         let inv = SearchingInvariant::new();
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &inv,
             &ExploreOptions::new(InterleavingMode::AsyncPhases),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let ce = report.counterexample().expect("idle never clears");
         assert_eq!(ce.kind, ViolationKind::Liveness);
         assert_eq!(report.progress_edges, 0);
@@ -3075,13 +2996,14 @@ mod tests {
         // discovered (3) and completed expansions (0) must say so
         // separately, where the old report claimed `explored = 3`.
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases).with_max_states(3),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             report.outcome,
             CheckOutcome::BudgetExceeded {
@@ -3092,13 +3014,14 @@ mod tests {
         // One more state of budget: the root's whole frontier fits, its
         // expansion completes, and the budget trips during node 1's
         // expansion instead — completed expansions advance to 1.
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &GatheringProtocol::new(),
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases).with_max_states(4),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(
             report.outcome,
             CheckOutcome::BudgetExceeded {
@@ -3108,7 +3031,7 @@ mod tests {
         );
         // Budget reporting is worker-independent like everything else.
         for workers in [2usize, 7] {
-            let again = check_protocol(
+            let again = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
@@ -3116,7 +3039,8 @@ mod tests {
                     .with_max_states(4)
                     .with_workers(workers),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(again, report, "workers={workers}");
         }
     }
@@ -3195,7 +3119,10 @@ mod tests {
             0b010,
             &mut codes,
         );
-        let decoded: Vec<SchedulerStep> = codes.iter().map(|&c| decode_step(c)).collect();
+        let decoded: Vec<SchedulerStep> = codes
+            .iter()
+            .map(|&c| decode_step_with(c, &mut Vec::new()))
+            .collect();
         assert_eq!(
             decoded,
             vec![SchedulerStep::Look(0), SchedulerStep::Look(2)]
@@ -3216,20 +3143,22 @@ mod tests {
         // the SAME exploration: identical reports, field for field.
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
-            let plain = check_protocol(
+            let plain = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode),
             )
-            .unwrap();
-            let budgeted = check_protocol(
+            .unwrap()
+            .0;
+            let budgeted = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none()),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(plain, budgeted, "mode={mode}");
         }
     }
@@ -3242,13 +3171,14 @@ mod tests {
         // carry the crash directive and replay on a fresh engine.
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &GatheringInvariant::new(),
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let ce = report.counterexample().expect("crash defeats gathering");
             assert_eq!(ce.kind, ViolationKind::Liveness);
             assert!(
@@ -3274,14 +3204,15 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::CrashTolerantGatheringInvariant::new();
         for mode in MODES {
-            let plain = check_protocol(
+            let plain = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
                 &ExploreOptions::new(mode).safety_only(),
             )
-            .unwrap();
-            let crashy = check_protocol(
+            .unwrap()
+            .0;
+            let crashy = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
@@ -3289,7 +3220,8 @@ mod tests {
                     .safety_only()
                     .with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(
                 crashy.states > plain.states,
                 "mode={mode}: {} !> {}",
@@ -3309,13 +3241,14 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::EventualGatheringInvariant::new();
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_corrupt_looks(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             match report.counterexample() {
                 None => assert!(report.verified(), "mode={mode}: {:?}", report.outcome),
                 Some(ce) => {
@@ -3334,14 +3267,15 @@ mod tests {
         // reported lasso must not activate robot 0 in its cycle, must name
         // the starved robot, and must replay under the relaxed fairness.
         let initial = Configuration::from_gaps_at_origin(&[1, 3]); // n=6, k=2
-        let report = check_protocol(
+        let report = check_protocol_with_stats(
             &rr_corda::protocol::IdleProtocol,
             &initial,
             &GatheringInvariant::new(),
             &ExploreOptions::new(InterleavingMode::AsyncPhases)
                 .with_faults(FaultBudget::none().with_starved(0b01)),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let ce = report.counterexample().expect("idle never gathers");
         assert_eq!(ce.kind, ViolationKind::Liveness);
         assert_eq!(ce.starved, 0b01);
@@ -3371,13 +3305,14 @@ mod tests {
         let initial = enumerate_rigid_configurations(6, 3).remove(0);
         let inv = rr_core::invariant::CrashTolerantGatheringInvariant::new();
         for mode in MODES {
-            let report = check_protocol(
+            let report = check_protocol_with_stats(
                 &GatheringProtocol::new(),
                 &initial,
                 &inv,
                 &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
             )
-            .unwrap();
+            .unwrap()
+            .0;
             if let Some(ce) = report.counterexample() {
                 let replay =
                     replay_counterexample(&GatheringProtocol::new(), &initial, &inv, ce).unwrap();

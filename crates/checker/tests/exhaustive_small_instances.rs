@@ -7,13 +7,15 @@
 //! graphs run in `exp_modelcheck`, release-built).
 
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient, check_safety_quotient, ExploreOptions,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, ExploreOptions, ExploreReport,
+    FaultBudget, FaultDirective,
 };
 use rr_corda::{InterleavingMode, Protocol};
 use rr_core::invariant::{AlignmentInvariant, GatheringInvariant, Invariant, SearchingInvariant};
 use rr_core::unified::{protocol_for, Task};
 use rr_core::{AlignProtocol, GatheringProtocol};
 use rr_ring::enumerate::enumerate_rigid_configurations;
+use rr_ring::Configuration;
 
 const MODES: [InterleavingMode; 2] = [
     InterleavingMode::SsyncSubsets,
@@ -31,17 +33,24 @@ fn assert_cell_proved<P: Protocol + Clone + Send>(
     assert!(!initials.is_empty(), "no rigid class for n={n} k={k}");
     for initial in &initials {
         for &mode in modes {
-            let report = check_protocol(protocol, initial, invariant, &ExploreOptions::new(mode))
-                .unwrap_or_else(|e| panic!("n={n} k={k} {mode}: {e}"));
+            let report =
+                check_protocol_with_stats(protocol, initial, invariant, &ExploreOptions::new(mode))
+                    .unwrap_or_else(|e| panic!("n={n} k={k} {mode}: {e}"))
+                    .0;
             assert!(
                 report.verified(),
                 "n={n} k={k} mode={mode} from {initial}: {:?}",
                 report.outcome
             );
             // The symmetry-quotient safety pass must agree.
-            let quotient =
-                check_safety_quotient(protocol, initial, invariant, &ExploreOptions::new(mode))
-                    .unwrap();
+            let quotient = check_protocol_quotient_with_stats(
+                protocol,
+                initial,
+                invariant,
+                &ExploreOptions::new(mode).safety_only(),
+            )
+            .unwrap()
+            .0;
             assert!(quotient.verified(), "quotient disagrees on n={n} k={k}");
             assert!(quotient.states <= report.states);
             // ... and so must the *full* quotient check, liveness included:
@@ -50,9 +59,14 @@ fn assert_cell_proved<P: Protocol + Clone + Send>(
             // grid.  (For the searching invariant, whose auxiliary
             // contamination state forces exact keys, this degrades to the
             // concrete checker — the verdicts still must match.)
-            let full_quotient =
-                check_protocol_quotient(protocol, initial, invariant, &ExploreOptions::new(mode))
-                    .unwrap();
+            let full_quotient = check_protocol_quotient_with_stats(
+                protocol,
+                initial,
+                invariant,
+                &ExploreOptions::new(mode),
+            )
+            .unwrap()
+            .0;
             assert!(
                 full_quotient.verified(),
                 "quotient liveness disagrees on n={n} k={k} mode={mode} from {initial}: {:?}",
@@ -125,6 +139,66 @@ fn searching_has_no_claimed_cell_below_n10_and_is_proved_at_the_frontier() {
             n,
             k,
             &[InterleavingMode::SsyncSubsets],
+        );
+    }
+}
+
+/// Checks `initial` through both entry points and asserts the contract that
+/// makes two of them enough: where the quotient is unsound, the quotient
+/// entry point switches to exact keys and reports exactly what the exact-key
+/// reference does — every field but `quotient_states`, counterexample
+/// included.  Returns the reference report.
+fn assert_quotient_entry_matches_exact<P: Protocol + Clone + Send>(
+    protocol: &P,
+    initial: &Configuration,
+    invariant: &dyn Invariant,
+    options: &ExploreOptions,
+) -> ExploreReport {
+    let exact = check_protocol_with_stats(protocol, initial, invariant, options)
+        .unwrap()
+        .0;
+    let quotient = check_protocol_quotient_with_stats(protocol, initial, invariant, options)
+        .unwrap()
+        .0;
+    assert_eq!(
+        ExploreReport {
+            quotient_states: exact.quotient_states,
+            ..quotient
+        },
+        exact,
+        "{initial} {options:?}"
+    );
+    exact
+}
+
+#[test]
+fn quotient_entry_matches_the_exact_reference_under_aux_state_and_faults() {
+    // Auxiliary path state: searching's contamination set.
+    let protocol = protocol_for(Task::GraphSearching, 11, 5).expect("feasible");
+    let initial = enumerate_rigid_configurations(11, 5).remove(0);
+    let report = assert_quotient_entry_matches_exact(
+        &protocol,
+        &initial,
+        &SearchingInvariant::new(),
+        &ExploreOptions::new(InterleavingMode::SsyncSubsets),
+    );
+    assert!(report.verified(), "{:?}", report.outcome);
+    // A fault budget: one crash falsifies plain gathering with a crash lasso.
+    let initial = enumerate_rigid_configurations(6, 3).remove(0);
+    for mode in MODES {
+        let report = assert_quotient_entry_matches_exact(
+            &GatheringProtocol::new(),
+            &initial,
+            &GatheringInvariant::new(),
+            &ExploreOptions::new(mode).with_faults(FaultBudget::none().with_crashes(1)),
+        );
+        let ce = report.counterexample().expect("crash defeats gathering");
+        assert!(
+            ce.faults
+                .iter()
+                .any(|f| matches!(f, FaultDirective::Crash { .. })),
+            "{mode}: {}",
+            ce.render()
         );
     }
 }

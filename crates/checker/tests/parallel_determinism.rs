@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rr_checker::explore::{
-    check_protocol, check_protocol_quotient, check_safety_quotient, replay_counterexample,
+    check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
     ExploreOptions, FaultBudget, MutatedProtocol,
 };
 use rr_checker::StoreKind;
@@ -41,10 +41,14 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
     base: &ExploreOptions,
     label: &str,
 ) {
-    let reference = check_protocol(protocol, initial, invariant, &base.with_workers(1)).unwrap();
+    let reference = check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(1))
+        .unwrap()
+        .0;
     for workers in &WORKER_COUNTS[1..] {
         let report =
-            check_protocol(protocol, initial, invariant, &base.with_workers(*workers)).unwrap();
+            check_protocol_with_stats(protocol, initial, invariant, &base.with_workers(*workers))
+                .unwrap()
+                .0;
         assert_eq!(report, reference, "{label}: workers={workers}");
     }
     // The spill backend is observationally invisible: for every worker
@@ -53,7 +57,7 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
     // identical report — counterexample included, since it is a field of the
     // report compared here.
     for workers in WORKER_COUNTS {
-        let spilled = check_protocol(
+        let spilled = check_protocol_with_stats(
             protocol,
             initial,
             invariant,
@@ -62,16 +66,28 @@ fn assert_worker_invariant<P: Protocol + Clone + Send>(
                 .with_store(StoreKind::Spill)
                 .with_mem_budget(4 << 10),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(spilled, reference, "{label}: spill workers={workers}");
     }
     // The quotient explorer obeys the same discipline.
-    let quotient_reference =
-        check_safety_quotient(protocol, initial, invariant, &base.with_workers(1)).unwrap();
+    let quotient_reference = check_protocol_quotient_with_stats(
+        protocol,
+        initial,
+        invariant,
+        &base.with_workers(1).safety_only(),
+    )
+    .unwrap()
+    .0;
     for workers in &WORKER_COUNTS[1..] {
-        let report =
-            check_safety_quotient(protocol, initial, invariant, &base.with_workers(*workers))
-                .unwrap();
+        let report = check_protocol_quotient_with_stats(
+            protocol,
+            initial,
+            invariant,
+            &base.with_workers(*workers).safety_only(),
+        )
+        .unwrap()
+        .0;
         assert_eq!(
             report, quotient_reference,
             "{label} quotient: workers={workers}"
@@ -214,12 +230,19 @@ fn quotient_full_check_is_worker_and_store_invariant() {
     let invariant = GatheringInvariant::new();
     for mode in MODES {
         let base = ExploreOptions::new(mode);
-        let verified_ref =
-            check_protocol_quotient(&GatheringProtocol::new(), &initial, &invariant, &base)
-                .unwrap();
+        let verified_ref = check_protocol_quotient_with_stats(
+            &GatheringProtocol::new(),
+            &initial,
+            &invariant,
+            &base,
+        )
+        .unwrap()
+        .0;
         assert!(verified_ref.verified(), "{mode}");
         let falsified_ref =
-            check_protocol_quotient(&idle_mutant, &initial, &invariant, &base).unwrap();
+            check_protocol_quotient_with_stats(&idle_mutant, &initial, &invariant, &base)
+                .unwrap()
+                .0;
         let ce = falsified_ref.counterexample().expect("mutant falsified");
         let replay = replay_counterexample(&idle_mutant, &initial, &invariant, ce).unwrap();
         assert!(replay.reproduced, "{mode}: {}", replay.detail);
@@ -229,19 +252,26 @@ fn quotient_full_check_is_worker_and_store_invariant() {
                     .with_workers(workers)
                     .with_store(store)
                     .with_mem_budget(4 << 10);
-                let verified = check_protocol_quotient(
+                let verified = check_protocol_quotient_with_stats(
                     &GatheringProtocol::new(),
                     &initial,
                     &invariant,
                     &options,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert_eq!(
                     verified, verified_ref,
                     "{mode}: workers={workers} store={store}"
                 );
-                let falsified =
-                    check_protocol_quotient(&idle_mutant, &initial, &invariant, &options).unwrap();
+                let falsified = check_protocol_quotient_with_stats(
+                    &idle_mutant,
+                    &initial,
+                    &invariant,
+                    &options,
+                )
+                .unwrap()
+                .0;
                 assert_eq!(
                     falsified, falsified_ref,
                     "{mode}: workers={workers} store={store}"

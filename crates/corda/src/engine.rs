@@ -124,9 +124,6 @@ pub struct EngineOptions {
     pub step_path: StepPath,
 }
 
-/// Former name of [`EngineOptions`], kept for continuity.
-pub type SimulatorOptions = EngineOptions;
-
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
@@ -575,9 +572,6 @@ pub struct Engine<P> {
     moves: u64,
     looks: u64,
 }
-
-/// Former name of [`Engine`], kept for continuity.
-pub type Simulator<P> = Engine<P>;
 
 impl<P: Protocol> Engine<P> {
     /// Creates an engine for `protocol` starting from `initial`.

@@ -1,6 +1,6 @@
-//! Simulator-side robot bookkeeping.
+//! Engine-side robot bookkeeping.
 //!
-//! Robot identifiers exist only so the simulator (and the verification
+//! Robot identifiers exist only so the engine (and the verification
 //! oracles, e.g. the perpetual-exploration monitor) can track individual
 //! robots across moves; protocols never observe them.
 
