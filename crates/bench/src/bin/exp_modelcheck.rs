@@ -46,11 +46,13 @@
 //!
 //! `--workers` sets the checker's per-cell worker threads (0 = one per
 //! core); `--sequential` additionally serializes the cell grid itself.
-//! `--store spill` keeps packed states in delta-compressed clusters on disk
-//! with a resident cache bounded by `--mem-budget` (default 64MiB) — the
-//! report is byte-identical to `--store mem` minus the `store` and
-//! `spilled_bytes` fields, which is exactly what CI's spill-smoke leg gates
-//! on.  `--only gathering:12:6` (optionally `:ssync`/`:async`) restricts the
+//! `--store spill` gives the checker's stores a budget: packed states go to
+//! delta-compressed clusters on disk with a resident cache bounded by
+//! `--mem-budget` (default 64MiB), and the visited map seals sorted runs
+//! past it.  `--store mem` (the default) gives them none, so nothing is
+//! written to disk.  The report is byte-identical either way apart from
+//! `store`, `spilled_bytes`, `visited_spilled_bytes` and `states_per_sec`,
+//! which is exactly what CI's spill-smoke leg gates on.  `--only gathering:12:6` (optionally `:ssync`/`:async`) restricts the
 //! grid to one cell for targeted out-of-core runs.  `--scale-bench` switches
 //! to experiment E16: one fixed spill cell (default: the largest proved
 //! searching cell; override with `--only`) is re-explored at worker counts

@@ -72,9 +72,7 @@ use rr_core::invariant::{AugState, Invariant, LivenessMode, StateView};
 use rr_core::relabel::{relabel_onto, RobotPerm, MAX_PERM_ROBOTS};
 use rr_ring::{Configuration, View};
 
-use crate::store::{
-    Edge, EdgeSink, MemEdges, MemStore, SpillEdges, SpillStore, StateStore, StoreKind, StoreStats,
-};
+use crate::store::{Edge, EdgeStore, StateStore, StoreKind, StoreStats};
 use crate::visited::{shard_of, Key, Memtable, Visited, VISITED_ENTRY_BYTES, VISITED_SHARDS};
 
 /// Default state budget: generous for every cell of the acceptance grid, a
@@ -164,13 +162,14 @@ pub struct ExploreOptions {
     pub workers: usize,
     /// The fault adversary's powers (default: none — fault-free checking).
     pub faults: FaultBudget,
-    /// Where discovered states and edges live during the search (default:
-    /// [`StoreKind::Mem`]).  The verdict, the report and any counterexample
-    /// are identical for every backend.
+    /// Whether discovered states, edges and visited entries may spill to
+    /// disk (default: [`StoreKind::Mem`], which never writes a file).  The
+    /// verdict, the report and any counterexample are identical for every
+    /// value.
     pub store: StoreKind,
-    /// Resident-byte budget of the spill backend's cluster cache (ignored by
-    /// the mem backend).  Smaller budgets trade window-read speed for
-    /// memory; they never change any reported value.
+    /// Under [`StoreKind::Spill`], the resident-byte budget of the state
+    /// cluster cache and of the visited map's memtables.  Smaller budgets
+    /// trade read speed for memory; they never change any reported value.
     pub mem_budget: u64,
 }
 
@@ -193,14 +192,14 @@ impl ExploreOptions {
         }
     }
 
-    /// Replaces the storage backend.
+    /// Replaces the storage mode.
     #[must_use]
     pub fn with_store(mut self, store: StoreKind) -> Self {
         self.store = store;
         self
     }
 
-    /// Replaces the spill backend's resident-byte budget.
+    /// Replaces the spill store's resident-byte budget.
     #[must_use]
     pub fn with_mem_budget(mut self, mem_budget: u64) -> Self {
         self.mem_budget = mem_budget;
@@ -409,13 +408,13 @@ pub struct ExploreReport {
     /// records, sampled at one consistent point — immediately before each
     /// expansion's sequential merge — and maximized over the run.
     /// Deterministic: independent of the worker count *and* of the storage
-    /// backend.
+    /// mode.
     pub peak_resident_nodes: usize,
     /// The byte-valued analog of [`peak_resident_nodes`]: packed payload
     /// bytes of stored states plus buffered successors at the same sample
-    /// points.  Counts state payloads, not backend overhead, so the value is
-    /// identical across backends (the spill backend's *actual* residency is
-    /// bounded by [`ExploreOptions::mem_budget`] instead).
+    /// points.  Counts state payloads, not store overhead, so the value is
+    /// identical across storage modes (the spill store's *actual* residency
+    /// is bounded by [`ExploreOptions::mem_budget`] instead).
     ///
     /// [`peak_resident_nodes`]: ExploreReport::peak_resident_nodes
     pub peak_resident_bytes: u64,
@@ -769,7 +768,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// key, the per-path fault word, the BFS parent pointer (node + step code)
 /// and the liveness-target flag.  The packed engine state itself lives in
 /// the run's [`StateStore`], addressed by the same node id — splitting the
-/// two is what lets the spill backend move the (much larger) state payloads
+/// two is what lets the spill store move the (much larger) state payloads
 /// out of RAM while the graph analyses keep O(1) access to the metadata.
 struct NodeMeta {
     aug_bits: u64,
@@ -1308,7 +1307,13 @@ fn explore<P: Protocol + Clone + Send>(
     let root_bits = aug_template.key_bits();
     let root_target = reach_mode && invariant.is_target(&state_view(&root_state, 0), &aug_template);
 
-    let mut visited = Visited::new(options.store, options.mem_budget);
+    // The one place the storage mode is resolved: every store takes the
+    // same budget, and no budget means nothing is ever written to disk.
+    let spill_budget = match options.store {
+        StoreKind::Mem => None,
+        StoreKind::Spill => Some(options.mem_budget),
+    };
+    let mut visited = Visited::new(spill_budget);
     let root_key = make_key(&root_packed, root_bits, effective_dedup, 0);
     visited.insert(root_key, 0);
     // Canonical classes among the stored states (exact-dedup statistic):
@@ -1320,14 +1325,8 @@ fn explore<P: Protocol + Clone + Send>(
     if track_canon {
         canonical_classes.insert(root_packed.canonical_sig());
     }
-    let mut store: Box<dyn StateStore> = match options.store {
-        StoreKind::Mem => Box::new(MemStore::new()),
-        StoreKind::Spill => Box::new(SpillStore::new(options.mem_budget)),
-    };
-    let mut sink: Box<dyn EdgeSink> = match options.store {
-        StoreKind::Mem => Box::new(MemEdges::new()),
-        StoreKind::Spill => Box::new(SpillEdges::new()),
-    };
+    let mut store = StateStore::new(spill_budget);
+    let mut sink = EdgeStore::new(spill_budget);
     let mut meta = vec![NodeMeta {
         aug_bits: root_bits,
         fault: 0,
@@ -1532,7 +1531,7 @@ fn explore<P: Protocol + Clone + Send>(
     let edge_count = sink.len();
     // The visited map has served its purpose; free it before the liveness
     // pass loads the edges back, so the load replaces rather than adds to
-    // the peak footprint.  For the spill backend the drop also unlinks the
+    // the peak footprint.  Under a spill budget the drop also unlinks the
     // on-disk run file — the runs are exploration-only state.
     let visited_spilled_bytes = visited.spilled_bytes();
     drop(visited);
@@ -1554,7 +1553,7 @@ fn explore<P: Protocol + Clone + Send>(
         let violation = if effective_dedup == Dedup::Canonical {
             match quotient_liveness_violation(
                 &graph,
-                store.as_mut(),
+                &mut store,
                 &mut pool[0],
                 full_mask,
                 invariant,
@@ -1962,7 +1961,7 @@ fn remap_code(code: u32, phi: &RobotPerm) -> u32 {
 /// guarantees it: fault budgets and auxiliary state force exact dedup).
 fn quotient_liveness_violation<P: Protocol + Clone>(
     graph: &Graph<'_>,
-    store: &mut dyn StateStore,
+    store: &mut StateStore,
     worker: &mut Worker<P>,
     full_mask: u32,
     invariant: &dyn Invariant,
@@ -2019,7 +2018,7 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
 fn threaded_violation_in_scc<P: Protocol + Clone>(
     graph: &Graph<'_>,
     scan: &LassoScan,
-    store: &mut dyn StateStore,
+    store: &mut StateStore,
     worker: &mut Worker<P>,
     members: &[u32],
     invariant: &dyn Invariant,

@@ -232,7 +232,6 @@ fn recontaminate(occupied: u32, mut clear: u32, n: usize) -> u32 {
 /// Explores the game of one protocol from one initial occupied mask.
 fn play(protocol: &ProtocolTable, n: usize, initial_occupied: u32) -> GameOutcome {
     let full_clear = (1u32 << n) - 1;
-    let k = initial_occupied.count_ones() as usize;
     let initial = State {
         occupied: initial_occupied,
         clear: recontaminate(initial_occupied, guarded_edges(initial_occupied, n), n),
@@ -388,7 +387,6 @@ fn play(protocol: &ProtocolTable, n: usize, initial_occupied: u32) -> GameOutcom
         if visited[s][1] {
             return GameOutcome::FairAvoidanceForced;
         }
-        let _ = k;
     }
     GameOutcome::NotDisproved
 }

@@ -4,28 +4,30 @@
 //! two narrow access patterns — *sequential windows* (the next `BATCH` node
 //! ids to expand) and *point lookups* (the liveness pass aligning quotient
 //! representatives) — and appends edges it only reads back once, for the SCC
-//! analysis.  `StateStore` and `EdgeSink` (crate-internal traits) capture
-//! exactly those patterns, with two backends each:
+//! analysis.  `StateStore` and `EdgeStore` serve exactly those patterns.
+//! Each takes one budget, `Option<u64>`, which the explorer resolves once
+//! from [`StoreKind`] and the memory budget:
 //!
-//! * **mem** (`MemStore` / `MemEdges`): the original in-RAM vectors —
-//!   fastest, bounded by physical memory;
-//! * **spill** (`SpillStore` / `SpillEdges`): packed states are grouped
-//!   into clusters of `CLUSTER` states, each cluster encoded as its first
-//!   state's raw words plus sparse XOR deltas ([`PackedState::delta_from`])
-//!   for the rest, and **every sealed cluster is appended to a temp file
+//! * `Some(budget)` ([`StoreKind::Spill`]): packed states are grouped into
+//!   clusters of `CLUSTER` states, each cluster encoded as its first state's
+//!   raw words plus sparse XOR deltas ([`PackedState::delta_from`]) for the
+//!   rest, and **every sealed cluster is appended to a temp file
 //!   immediately** — so the bytes written (`spilled_bytes`) are a
 //!   deterministic function of the state sequence, independent of worker
-//!   count and memory budget.  The budget only governs the cache of encoded
+//!   count and budget.  The budget only governs the cache of encoded
 //!   clusters kept resident for window reads; edges stream to a second file
 //!   as fixed 8-byte records and are loaded back only if the liveness pass
 //!   runs (after the visited map has been dropped).
+//! * `None` ([`StoreKind::Mem`]): nothing ever seals or flushes — states
+//!   stay in the open tail cluster, edges in the write buffer — so no file
+//!   is ever created.
 //!
-//! Both backends present **the same state sequence** — ids, bytes, windows —
-//! so every [`crate::ExploreReport`] field and every counterexample is
-//! byte-identical across backends, which `tests/parallel_determinism.rs`
-//! pins.  I/O errors on the spill files panic: the files are process-private
-//! temporaries, and a checker that cannot read its own spill has no sound
-//! verdict to offer.
+//! Every spill file is created at its first write.  Every budget presents
+//! **the same state sequence** — ids, bytes, windows — so every
+//! [`crate::ExploreReport`] field and every counterexample is byte-identical
+//! across budgets, which `tests/parallel_determinism.rs` pins.  I/O errors
+//! on the spill files panic: the files are process-private temporaries, and
+//! a checker that cannot read its own spill has no sound verdict to offer.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -35,14 +37,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rr_corda::PackedState;
 
-/// Which storage backend an exploration uses.
+/// Whether an exploration may spill to disk.  Both modes run the same
+/// stores; the mode only decides whether they get a budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
-    /// Everything in RAM (the default): fastest, bounded by memory.
+    /// No budget (the default): nothing is ever written to disk, so memory
+    /// bounds the search.
     #[default]
     Mem,
     /// Delta-compressed clusters spilled to disk, with a bounded resident
-    /// cache; edges streamed to disk.  Use with
+    /// cache; edges streamed to disk; visited memtables sealed to sorted
+    /// runs past the budget.  Use with
     /// [`crate::ExploreOptions::with_mem_budget`].
     Spill,
 }
@@ -56,22 +61,22 @@ impl std::fmt::Display for StoreKind {
     }
 }
 
-/// Backend-specific statistics of one exploration.  Everything in the
-/// [`crate::ExploreReport`] itself is backend-independent (so reports can be
-/// compared byte for byte across backends); what the backend actually did —
-/// how many bytes it wrote to disk — surfaces here, via
-/// [`crate::check_protocol_with_stats`].
+/// Storage statistics of one exploration.  Everything in the
+/// [`crate::ExploreReport`] itself is independent of the storage mode (so
+/// reports can be compared byte for byte across modes and budgets); what
+/// the stores actually did — how many bytes they wrote to disk — surfaces
+/// here, via [`crate::check_protocol_with_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    /// The backend that ran.
+    /// The storage mode that ran.
     pub store: StoreKind,
-    /// Total bytes appended to the spill files (states + edges); `0` for the
-    /// mem backend.  Deterministic: a pure function of the explored graph,
+    /// Total bytes appended to the spill files (states + edges); `0` under
+    /// [`StoreKind::Mem`].  Deterministic: a pure function of the explored graph,
     /// independent of worker count and memory budget.
     pub spilled_bytes: u64,
     /// Bytes appended to the visited map's run file (sealed sorted runs plus
-    /// compaction rewrites); `0` for the mem backend.  Deterministic for a
-    /// fixed (backend, budget) pair — sealing is driven by entry counts at
+    /// compaction rewrites); `0` under [`StoreKind::Mem`].  Deterministic for
+    /// a fixed (mode, budget) pair — sealing is driven by entry counts at
     /// sequential merge points, never by worker timing — but, unlike
     /// [`spilled_bytes`](StoreStats::spilled_bytes), it *does* depend on the
     /// memory budget: a tighter budget seals smaller memtables more often
@@ -93,9 +98,10 @@ pub struct StoreStats {
 pub(crate) const CLUSTER: usize = 64;
 
 /// A window of packed states handed to the expansion workers: borrowed
-/// straight from a resident store, or materialized from spilled clusters.
+/// straight from the store's open tail, or materialized from sealed
+/// clusters.
 pub(crate) enum FrontierWindow<'a> {
-    /// The window is a live slice of resident states.
+    /// The window is a live slice of the open tail.
     Resident(&'a [PackedState]),
     /// The window was decoded from spilled clusters.
     Loaded(Vec<PackedState>),
@@ -112,87 +118,28 @@ impl std::ops::Deref for FrontierWindow<'_> {
     }
 }
 
-/// Append-only storage of discovered states, addressed by node id in
-/// discovery order.  The explorer reads states back in two patterns only:
-/// contiguous [`window`](StateStore::window)s in ascending id order (the
-/// BFS), and random [`get`](StateStore::get)s (the quotient-liveness
-/// alignment) — both after all pushes the ids in question, never
-/// concurrently with a push.
-pub(crate) trait StateStore {
-    /// Appends a state; its id is the previous [`len`](StateStore::len).
-    fn push(&mut self, state: PackedState);
-
-    /// Number of stored states.
-    fn len(&self) -> usize;
-
-    /// Total packed payload bytes (word count × 8) over all stored states —
-    /// a backend-independent size measure: both backends report the same
-    /// value for the same state sequence.
-    fn payload_bytes(&self) -> u64;
-
-    /// Bytes appended to spill files so far; `0` for resident backends.
-    fn spilled_bytes(&self) -> u64;
-
-    /// The state with id `id`.
-    fn get(&mut self, id: usize) -> PackedState;
-
-    /// The states `start..end`, in id order.
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_>;
-}
-
-/// The in-RAM backend: a plain vector of packed states.
-pub(crate) struct MemStore {
-    states: Vec<PackedState>,
-    payload: u64,
-}
-
-impl MemStore {
-    pub(crate) fn new() -> Self {
-        MemStore {
-            states: Vec::new(),
-            payload: 0,
-        }
-    }
-}
-
-impl StateStore for MemStore {
-    fn push(&mut self, state: PackedState) {
-        self.payload += 8 * state.words().len() as u64;
-        self.states.push(state);
-    }
-
-    fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    fn payload_bytes(&self) -> u64 {
-        self.payload
-    }
-
-    fn spilled_bytes(&self) -> u64 {
-        0
-    }
-
-    fn get(&mut self, id: usize) -> PackedState {
-        self.states[id].clone()
-    }
-
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
-        FrontierWindow::Resident(&self.states[start..end])
-    }
-}
-
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A process-private temp file that deletes itself on drop.
+/// A process-private temp file that deletes itself on drop.  The file is
+/// created by the first [`append`](SpillFile::append), so a spill file that
+/// is never written never touches the disk.
 pub(crate) struct SpillFile {
-    file: File,
-    path: PathBuf,
+    tag: &'static str,
+    /// The open file and its path, once the first append created them.
+    file: Option<(File, PathBuf)>,
     written: u64,
 }
 
 impl SpillFile {
-    pub(crate) fn create(tag: &str) -> Self {
+    pub(crate) fn new(tag: &'static str) -> Self {
+        SpillFile {
+            tag,
+            file: None,
+            written: 0,
+        }
+    }
+
+    fn create(tag: &str) -> (File, PathBuf) {
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
             "rr-checker-{tag}-{}-{seq}.spill",
@@ -204,20 +151,16 @@ impl SpillFile {
             .create_new(true)
             .open(&path)
             .unwrap_or_else(|e| panic!("creating spill file {}: {e}", path.display()));
-        SpillFile {
-            file,
-            path,
-            written: 0,
-        }
+        (file, path)
     }
 
     /// Appends `bytes` at the end of the file; returns their offset.
     pub(crate) fn append(&mut self, bytes: &[u8]) -> u64 {
         let offset = self.written;
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.write_all(bytes))
-            .unwrap_or_else(|e| panic!("writing spill file {}: {e}", self.path.display()));
+        let (file, path) = self.file.get_or_insert_with(|| Self::create(self.tag));
+        file.seek(SeekFrom::Start(offset))
+            .and_then(|_| file.write_all(bytes))
+            .unwrap_or_else(|e| panic!("writing spill file {}: {e}", path.display()));
         self.written += bytes.len() as u64;
         offset
     }
@@ -231,23 +174,28 @@ impl SpillFile {
     /// cursor, so concurrent readers (the expansion workers probing visited
     /// runs) need no lock.
     pub(crate) fn read_exact_at(&self, offset: u64, buf: &mut [u8]) {
+        let Some((file, path)) = &self.file else {
+            assert!(
+                buf.is_empty(),
+                "reading a spill file before its first write"
+            );
+            return;
+        };
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
-            self.file
-                .read_exact_at(buf, offset)
-                .unwrap_or_else(|e| panic!("reading spill file {}: {e}", self.path.display()));
+            file.read_exact_at(buf, offset)
+                .unwrap_or_else(|e| panic!("reading spill file {}: {e}", path.display()));
         }
         #[cfg(windows)]
         {
             use std::os::windows::fs::FileExt;
             let mut done = 0usize;
             while done < buf.len() {
-                let n = self
-                    .file
+                let n = file
                     .seek_read(&mut buf[done..], offset + done as u64)
-                    .unwrap_or_else(|e| panic!("reading spill file {}: {e}", self.path.display()));
-                assert!(n > 0, "truncated spill file {}", self.path.display());
+                    .unwrap_or_else(|e| panic!("reading spill file {}: {e}", path.display()));
+                assert!(n > 0, "truncated spill file {}", path.display());
                 done += n;
             }
         }
@@ -262,25 +210,32 @@ impl SpillFile {
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        if let Some((_, path)) = &self.file {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
-/// The spill-to-disk backend.
+/// Append-only storage of discovered states, addressed by node id in
+/// discovery order.  The explorer reads states back in two patterns only:
+/// contiguous [`window`](StateStore::window)s in ascending id order (the
+/// BFS), and random [`get`](StateStore::get)s (the quotient-liveness
+/// alignment) — both after all pushes the ids in question, never
+/// concurrently with a push.
 ///
-/// States accumulate in an open tail of up to [`CLUSTER`] states; a full
-/// tail is *sealed*: encoded (base + deltas), appended to the spill file,
-/// and kept in the resident cache of encoded clusters.  The cache is
-/// trimmed to `mem_budget` bytes by evicting the highest-numbered clusters
+/// States accumulate in an open tail of up to [`CLUSTER`] states.  Under a
+/// budget a full tail is *sealed*: encoded (base + deltas), appended to the
+/// spill file, and kept in the resident cache of encoded clusters.  The
+/// cache is trimmed to the budget by evicting the highest-numbered clusters
 /// first — the BFS consumes ids in ascending order, so high clusters are
 /// the ones needed *furthest* in the future; once a window has moved past a
 /// cluster it is dropped from the cache outright (later random access reads
-/// the file).
-pub(crate) struct SpillStore {
+/// the file).  Without a budget the tail never seals and holds every state.
+pub(crate) struct StateStore {
     file: SpillFile,
-    mem_budget: u64,
+    /// Resident-byte budget of the cluster cache; `None` never seals.
+    budget: Option<u64>,
     payload: u64,
-    len: usize,
     /// Open tail cluster (ids `sealed * CLUSTER ..`).
     tail: Vec<PackedState>,
     /// Per sealed cluster: file offset and encoded byte length.
@@ -294,13 +249,12 @@ pub(crate) struct SpillStore {
     decoded: Option<(usize, Vec<PackedState>)>,
 }
 
-impl SpillStore {
-    pub(crate) fn new(mem_budget: u64) -> Self {
-        SpillStore {
-            file: SpillFile::create("states"),
-            mem_budget,
+impl StateStore {
+    pub(crate) fn new(budget: Option<u64>) -> Self {
+        StateStore {
+            file: SpillFile::new("states"),
+            budget,
             payload: 0,
-            len: 0,
             tail: Vec::with_capacity(CLUSTER),
             spans: Vec::new(),
             cache: BTreeMap::new(),
@@ -348,7 +302,7 @@ impl SpillStore {
         out
     }
 
-    fn seal_tail(&mut self) {
+    fn seal_tail(&mut self, budget: u64) {
         debug_assert_eq!(self.tail.len(), CLUSTER);
         let encoded = self.encode_tail();
         let offset = self.file.append(&encoded);
@@ -358,7 +312,7 @@ impl SpillStore {
         self.cache.insert(index, encoded);
         self.tail.clear();
         // Budget: evict the highest-numbered clusters (needed last).
-        while self.cache_bytes > self.mem_budget {
+        while self.cache_bytes > budget {
             let Some((_, bytes)) = self.cache.pop_last() else {
                 break;
             };
@@ -382,31 +336,36 @@ impl SpillStore {
         }
         &self.decoded.as_ref().expect("decoded above").1
     }
-}
 
-impl StateStore for SpillStore {
-    fn push(&mut self, state: PackedState) {
+    /// Appends a state; its id is the previous [`len`](StateStore::len).
+    pub(crate) fn push(&mut self, state: PackedState) {
         self.payload += 8 * state.words().len() as u64;
-        self.len += 1;
         self.tail.push(state);
-        if self.tail.len() == CLUSTER {
-            self.seal_tail();
+        if let Some(budget) = self.budget {
+            if self.tail.len() == CLUSTER {
+                self.seal_tail(budget);
+            }
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Number of stored states.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len() * CLUSTER + self.tail.len()
     }
 
-    fn payload_bytes(&self) -> u64 {
+    /// Total packed payload bytes (word count × 8) over all stored states —
+    /// a budget-independent size measure.
+    pub(crate) fn payload_bytes(&self) -> u64 {
         self.payload
     }
 
-    fn spilled_bytes(&self) -> u64 {
-        self.file.written
+    /// Bytes appended to the spill file so far; `0` without a budget.
+    pub(crate) fn spilled_bytes(&self) -> u64 {
+        self.file.written()
     }
 
-    fn get(&mut self, id: usize) -> PackedState {
+    /// The state with id `id`.
+    pub(crate) fn get(&mut self, id: usize) -> PackedState {
         let tail_base = self.spans.len() * CLUSTER;
         if id >= tail_base {
             return self.tail[id - tail_base].clone();
@@ -414,7 +373,8 @@ impl StateStore for SpillStore {
         self.cluster_states(id / CLUSTER)[id % CLUSTER].clone()
     }
 
-    fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
+    /// The states `start..end`, in id order.
+    pub(crate) fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
         let tail_base = self.spans.len() * CLUSTER;
         // The BFS has consumed everything below `start`: those clusters
         // cannot be windowed again, so stop caching them.
@@ -458,54 +418,6 @@ pub(crate) struct Edge {
     pub(crate) progress: bool,
 }
 
-/// Append-only edge storage.  Edges are written once during the BFS and
-/// read back at most once, all together, for the liveness analysis — after
-/// the caller has dropped its visited map, so the loaded vector replaces
-/// rather than adds to the peak footprint.
-pub(crate) trait EdgeSink {
-    /// Appends an edge.
-    fn push(&mut self, edge: Edge);
-
-    /// Number of edges appended.
-    fn len(&self) -> u64;
-
-    /// Bytes appended to a spill file; `0` for resident backends.
-    fn spilled_bytes(&self) -> u64;
-
-    /// Loads every edge back, in append order, consuming the sink's
-    /// buffers.
-    fn finish(&mut self) -> Vec<Edge>;
-}
-
-/// The in-RAM edge backend.
-pub(crate) struct MemEdges {
-    edges: Vec<Edge>,
-}
-
-impl MemEdges {
-    pub(crate) fn new() -> Self {
-        MemEdges { edges: Vec::new() }
-    }
-}
-
-impl EdgeSink for MemEdges {
-    fn push(&mut self, edge: Edge) {
-        self.edges.push(edge);
-    }
-
-    fn len(&self) -> u64 {
-        self.edges.len() as u64
-    }
-
-    fn spilled_bytes(&self) -> u64 {
-        0
-    }
-
-    fn finish(&mut self) -> Vec<Edge> {
-        std::mem::take(&mut self.edges)
-    }
-}
-
 /// On-disk record: `to` in the low word, `code | progress << 31` in the
 /// high word.  Step codes occupy at most 30 bits (2-bit kind + 28-bit
 /// payload), leaving bit 31 free for the progress flag.
@@ -525,51 +437,72 @@ fn decode_edge(bytes: [u8; 8]) -> Edge {
     }
 }
 
-/// The spilled edge backend: fixed 8-byte records streamed through a small
-/// write buffer.
-pub(crate) struct SpillEdges {
+/// Append-only edge storage: fixed 8-byte records in a write buffer.  Under
+/// a budget the buffer is flushed to a spill file whenever it fills (and at
+/// [`finish`](EdgeStore::finish)); without one it simply grows.  Edges are
+/// written once during the BFS and read back at most once, all together,
+/// for the liveness analysis — after the caller has dropped its visited
+/// map, so the loaded vector replaces rather than adds to the peak
+/// footprint.
+pub(crate) struct EdgeStore {
     file: SpillFile,
+    /// Whether full buffers flush to the file (any budget: the edge stream
+    /// has no resident cache to bound).
+    spill: bool,
     buf: Vec<u8>,
-    len: u64,
 }
 
 /// Write-buffer size for spilled edges.
 const EDGE_BUF: usize = 1 << 16;
 
-impl SpillEdges {
-    pub(crate) fn new() -> Self {
-        SpillEdges {
-            file: SpillFile::create("edges"),
+impl EdgeStore {
+    pub(crate) fn new(budget: Option<u64>) -> Self {
+        EdgeStore {
+            file: SpillFile::new("edges"),
+            spill: budget.is_some(),
             buf: Vec::with_capacity(EDGE_BUF),
-            len: 0,
         }
     }
-}
 
-impl EdgeSink for SpillEdges {
-    fn push(&mut self, edge: Edge) {
+    /// Appends an edge.
+    pub(crate) fn push(&mut self, edge: Edge) {
         self.buf.extend_from_slice(&encode_edge(&edge));
-        self.len += 1;
-        if self.buf.len() >= EDGE_BUF {
-            self.file.append(&self.buf);
-            self.buf.clear();
+        if self.spill && self.buf.len() >= EDGE_BUF {
+            self.flush();
         }
     }
 
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn spilled_bytes(&self) -> u64 {
-        self.file.written + self.buf.len() as u64
-    }
-
-    fn finish(&mut self) -> Vec<Edge> {
+    fn flush(&mut self) {
         if !self.buf.is_empty() {
             self.file.append(&self.buf);
             self.buf.clear();
         }
-        let bytes = self.file.read_at(0, self.file.written as usize);
+    }
+
+    /// Number of edges appended.
+    pub(crate) fn len(&self) -> u64 {
+        (self.file.written() + self.buf.len() as u64) / 8
+    }
+
+    /// Bytes bound for the spill file, buffered ones included (a check that
+    /// never calls [`finish`](EdgeStore::finish) still reports them); `0`
+    /// without a budget.
+    pub(crate) fn spilled_bytes(&self) -> u64 {
+        if self.spill {
+            8 * self.len()
+        } else {
+            0
+        }
+    }
+
+    /// Loads every edge back, in append order, consuming the buffers.
+    pub(crate) fn finish(&mut self) -> Vec<Edge> {
+        let bytes = if self.spill {
+            self.flush();
+            self.file.read_at(0, self.file.written() as usize)
+        } else {
+            std::mem::take(&mut self.buf)
+        };
         bytes
             .chunks_exact(8)
             .map(|chunk| decode_edge(chunk.try_into().expect("8-byte record")))
@@ -632,7 +565,8 @@ mod tests {
             .collect()
     }
 
-    fn check_backend(store: &mut dyn StateStore, states: &[PackedState]) {
+    fn check_backend(budget: Option<u64>, states: &[PackedState]) {
+        let mut store = StateStore::new(budget);
         for s in states {
             store.push(s.clone());
         }
@@ -662,18 +596,19 @@ mod tests {
     #[test]
     fn mem_and_spill_agree_on_the_same_sequence() {
         let states = sequence(3 * CLUSTER + 17);
-        check_backend(&mut MemStore::new(), &states);
+        // No budget: nothing seals.
+        check_backend(None, &states);
         // Generous budget: everything stays cached.
-        check_backend(&mut SpillStore::new(1 << 20), &states);
+        check_backend(Some(1 << 20), &states);
         // Zero budget: every read decodes from disk.
-        check_backend(&mut SpillStore::new(0), &states);
+        check_backend(Some(0), &states);
     }
 
     #[test]
     fn spilled_bytes_are_independent_of_the_budget() {
         let states = sequence(5 * CLUSTER);
-        let mut roomy = SpillStore::new(1 << 30);
-        let mut tight = SpillStore::new(0);
+        let mut roomy = StateStore::new(Some(1 << 30));
+        let mut tight = StateStore::new(Some(0));
         for s in &states {
             roomy.push(s.clone());
             tight.push(s.clone());
@@ -691,8 +626,18 @@ mod tests {
     #[test]
     fn spill_file_cleans_up_after_itself() {
         let path = {
-            let store = SpillStore::new(0);
-            store.file.path.clone()
+            let mut store = StateStore::new(Some(0));
+            // The file is created lazily: seal one cluster first.
+            for s in sequence(CLUSTER) {
+                store.push(s);
+            }
+            store
+                .file
+                .file
+                .as_ref()
+                .expect("one cluster sealed")
+                .1
+                .clone()
         };
         assert!(!path.exists(), "spill file must be deleted on drop");
     }
@@ -700,7 +645,7 @@ mod tests {
     /// Encoded byte size of one full cluster of `states[..CLUSTER]` — the
     /// boundary the re-read-pressure proptest perturbs by ±1.
     fn cluster_bytes_of(states: &[PackedState]) -> u64 {
-        let mut probe = SpillStore::new(0);
+        let mut probe = StateStore::new(Some(0));
         for s in &states[..CLUSTER] {
             probe.push(s.clone());
         }
@@ -714,9 +659,8 @@ mod tests {
         /// Spill clusters under re-read pressure: window loads interleaved
         /// with continued pushes (hence continued sealing and eviction), at
         /// cache budgets pinned to the encoded-cluster-size boundary ±1 byte
-        /// — every loaded window must be byte-identical to the mem-backend
-        /// oracle, whichever mix of cache hits, evictions and disk decodes
-        /// served it.
+        /// — every loaded window must be byte-identical to the pushed states,
+        /// whichever mix of cache hits, evictions and disk decodes served it.
         #[test]
         fn interleaved_windows_match_the_mem_oracle_at_boundary_budgets(
             // Interleaving script: each entry pushes 1..=24 states, then
@@ -729,12 +673,10 @@ mod tests {
             let states = sequence(8 * CLUSTER);
             let budget =
                 (boundary * cluster_bytes_of(&states)).saturating_add_signed(delta as i64 - 1);
-            let mut oracle = MemStore::new();
-            let mut spill = SpillStore::new(budget);
+            let mut spill = StateStore::new(Some(budget));
             let mut len = 0usize;
             for (push, pick) in script {
                 for s in &states[len..(len + push).min(states.len())] {
-                    oracle.push(s.clone());
                     spill.push(s.clone());
                     len += 1;
                 }
@@ -742,9 +684,8 @@ mod tests {
                 // (the BFS pattern) but free to re-read sealed clusters.
                 let start = (pick % len as u64) as usize;
                 let end = (start + 1 + (pick >> 32) as usize % 96).min(len);
-                let want = oracle.window(start, end);
                 let got = spill.window(start, end);
-                proptest::prop_assert_eq!(&want[..], &got[..], "window {}..{}", start, end);
+                proptest::prop_assert_eq!(&states[start..end], &got[..], "window {}..{}", start, end);
             }
         }
     }
@@ -758,13 +699,14 @@ mod tests {
                 progress: i % 3 == 0,
             })
             .collect();
-        let mut mem = MemEdges::new();
-        let mut spill = SpillEdges::new();
+        let mut mem = EdgeStore::new(None);
+        let mut spill = EdgeStore::new(Some(0));
         for e in &edges {
             mem.push(Edge { ..*e });
             spill.push(Edge { ..*e });
         }
         assert_eq!(mem.len(), spill.len());
+        assert_eq!(mem.spilled_bytes(), 0);
         assert!(spill.spilled_bytes() >= 8 * edges.len() as u64);
         let a = mem.finish();
         let b = spill.finish();

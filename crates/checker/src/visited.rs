@@ -2,34 +2,29 @@
 //!
 //! The explorer's visited map is probed **lock-free from every expansion
 //! worker** (read-only during expansion) and mutated only at sequential
-//! merge points.  PR 9 moved state payloads and edges out of core, but the
-//! visited map stayed fully resident — the largest structure of a big run,
-//! and the true RAM ceiling past ~10⁸ states.  This module gives it the
-//! same treatment, behind one type:
-//!
-//! * **mem** ([`StoreKind::Mem`]): 64 hash-map shards, exactly the
-//!   structure the checker always had;
-//! * **spill** ([`StoreKind::Spill`]): the same memtable shards, but when
-//!   the `--mem-budget` accountant says the memtables outgrew their budget,
-//!   the largest shard *seals*: its entries are sorted and appended to a
-//!   process-private temp file as one immutable **run** of fixed 64-byte
-//!   records, with a per-run Bloom filter (~[`BLOOM_BITS_PER_KEY`] bits per
-//!   key) and a sparse footer (every [`FOOTER_STRIDE`]-th key) kept
-//!   resident.  A probe that misses the memtable consults each run's Bloom
-//!   filter, binary-searches the footer to one [`FOOTER_STRIDE`]-record
-//!   block, and reads that block with a single positional `read_at` — no
-//!   seek, no lock, safe from concurrent workers.  When a shard accumulates
-//!   [`MAX_RUNS_PER_SHARD`] runs they are **compacted** into one (superseded
-//!   run bytes stay in the temp file as garbage; the file is unlinked when
-//!   the map is dropped, which the explorer does before its liveness pass).
+//! merge points.  It is 64 hash-map memtable shards plus, under a memory
+//! budget, sorted runs on disk: when the `--mem-budget` accountant says the
+//! memtables outgrew their budget, the largest shard *seals*: its entries
+//! are sorted and appended to a process-private temp file as one immutable
+//! **run** of fixed 64-byte records, with a per-run Bloom filter
+//! (~[`BLOOM_BITS_PER_KEY`] bits per key) and a sparse footer (every
+//! [`FOOTER_STRIDE`]-th key) kept resident.  A probe that misses the
+//! memtable consults each run's Bloom filter, binary-searches the footer to
+//! one [`FOOTER_STRIDE`]-record block, and reads that block with a single
+//! positional `read_at` — no seek, no lock, safe from concurrent workers.
+//! When a shard accumulates [`MAX_RUNS_PER_SHARD`] runs they are
+//! **compacted** into one (superseded run bytes stay in the temp file as
+//! garbage; the file is unlinked when the map is dropped, which the
+//! explorer does before its liveness pass).  Without a budget nothing ever
+//! seals, and the run file, created at the first seal, never exists.
 //!
 //! Correctness does not depend on *when* shards seal: a lookup consults the
 //! memtable and every run, and a key lives in exactly one of them (an entry
 //! is inserted once and never updated).  The seal schedule itself is
 //! deterministic — it is driven by shard entry counts at sequential merge
 //! points, which are a pure function of the explored graph — so
-//! `visited_spilled_bytes` is reproducible for a fixed (backend, budget)
-//! pair, independent of worker count.
+//! `visited_spilled_bytes` is reproducible for a fixed budget, independent
+//! of worker count.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,7 +33,7 @@ use std::hash::Hasher;
 use rr_corda::packed::SigHashBuilder;
 use rr_corda::StateSig;
 
-use crate::store::{SpillFile, StoreKind};
+use crate::store::SpillFile;
 
 /// Inline, allocation-free visited-map key: a fixed state signature plus the
 /// 64-bit auxiliary-state key and the per-path fault word (crashed robots +
@@ -95,10 +90,11 @@ pub(crate) fn shard_of(key: &Key) -> usize {
 }
 
 /// Logical bytes of one visited entry (key + node id) — the
-/// backend-independent measure by which the visited map joins the
+/// budget-independent measure by which the visited map joins the
 /// explorer's `peak_resident_bytes` accounting.  Like the store's
-/// `payload_bytes`, it counts what is logically live, not any backend's
-/// overhead, so the reported peak is identical across backends and budgets.
+/// `payload_bytes`, it counts what is logically live, not any store's
+/// overhead, so the reported peak is identical across storage modes and
+/// budgets.
 pub(crate) const VISITED_ENTRY_BYTES: u64 =
     (std::mem::size_of::<Key>() + std::mem::size_of::<u32>()) as u64;
 
@@ -269,14 +265,6 @@ impl Run {
     }
 }
 
-/// The disk half of the spill backend: the run file plus per-shard runs.
-struct Disk {
-    file: SpillFile,
-    runs: Vec<Vec<Run>>,
-    /// Memtable budget in logical entry bytes; crossing it seals shards.
-    budget: u64,
-}
-
 /// One memtable shard.
 pub(crate) type Memtable = HashMap<Key, u32, SigHashBuilder>;
 
@@ -287,21 +275,21 @@ pub(crate) type Memtable = HashMap<Key, u32, SigHashBuilder>;
 /// sequential merge points mutate (commit, seal, compact).
 pub(crate) struct Visited {
     shards: Vec<Memtable>,
-    disk: Option<Disk>,
+    /// Memtable budget in logical entry bytes; crossing it seals shards.
+    /// `None` never seals.
+    budget: Option<u64>,
+    /// The run file and the sealed runs of each shard.
+    file: SpillFile,
+    runs: Vec<Vec<Run>>,
 }
 
 impl Visited {
-    pub(crate) fn new(kind: StoreKind, mem_budget: u64) -> Self {
+    pub(crate) fn new(budget: Option<u64>) -> Self {
         Visited {
             shards: (0..VISITED_SHARDS).map(|_| Memtable::default()).collect(),
-            disk: match kind {
-                StoreKind::Mem => None,
-                StoreKind::Spill => Some(Disk {
-                    file: SpillFile::create("visited"),
-                    runs: (0..VISITED_SHARDS).map(|_| Vec::new()).collect(),
-                    budget: mem_budget,
-                }),
-            },
+            budget,
+            file: SpillFile::new("visited"),
+            runs: (0..VISITED_SHARDS).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -312,10 +300,9 @@ impl Visited {
         if let Some(&id) = self.shards[shard].get(key) {
             return Some(id);
         }
-        let disk = self.disk.as_ref()?;
-        disk.runs[shard]
+        self.runs[shard]
             .iter()
-            .find_map(|run| run.probe(&disk.file, key, mix))
+            .find_map(|run| run.probe(&self.file, key, mix))
     }
 
     /// Inserts one entry directly (the root); the batch merge commits
@@ -337,27 +324,23 @@ impl Visited {
     }
 
     /// Bytes appended to the run file so far (runs + compaction rewrites);
-    /// `0` for the mem backend.
+    /// `0` without a budget.
     pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.disk.as_ref().map_or(0, |d| d.file.written())
+        self.file.written()
     }
 
     /// Resident bytes of the probe accelerators (Bloom filters + footers);
-    /// `0` for the mem backend.  Small next to the memtable budget — ≈2.3
+    /// `0` without a budget.  Small next to the memtable budget — ≈2.3
     /// bytes per sealed key against 68 logical bytes per resident entry —
     /// and outside the seal accountant by design.
     #[cfg(test)]
     pub(crate) fn filter_bytes(&self) -> u64 {
-        self.disk.as_ref().map_or(0, |d| {
-            d.runs.iter().flatten().map(Run::resident_bytes).sum()
-        })
+        self.runs.iter().flatten().map(Run::resident_bytes).sum()
     }
 
     #[cfg(test)]
     fn run_count(&self) -> usize {
-        self.disk
-            .as_ref()
-            .map_or(0, |d| d.runs.iter().map(Vec::len).sum())
+        self.runs.iter().map(Vec::len).sum()
     }
 
     /// The `--mem-budget` accountant, called at sequential merge points:
@@ -367,12 +350,12 @@ impl Visited {
     /// timing — and sealing never changes a lookup's answer, only where it
     /// is served from.
     pub(crate) fn maybe_seal(&mut self) {
-        let Some(disk) = &mut self.disk else {
+        let Some(budget) = self.budget else {
             return;
         };
         loop {
             let resident: usize = self.shards.iter().map(HashMap::len).sum();
-            if resident as u64 * VISITED_ENTRY_BYTES <= disk.budget {
+            if resident as u64 * VISITED_ENTRY_BYTES <= budget {
                 return;
             }
             let (shard, len) = self
@@ -386,17 +369,17 @@ impl Visited {
                 return; // everything already sealed; budget is simply tiny
             }
             let entries: Vec<(Key, u32)> = self.shards[shard].drain().collect();
-            disk.runs[shard].push(Run::seal(&mut disk.file, entries));
-            if disk.runs[shard].len() >= MAX_RUNS_PER_SHARD {
+            self.runs[shard].push(Run::seal(&mut self.file, entries));
+            if self.runs[shard].len() >= MAX_RUNS_PER_SHARD {
                 let merged: Vec<(Key, u32)> = {
-                    let mut all: Vec<(Key, u32)> = disk.runs[shard]
+                    let mut all: Vec<(Key, u32)> = self.runs[shard]
                         .iter()
-                        .flat_map(|run| run.load(&disk.file))
+                        .flat_map(|run| run.load(&self.file))
                         .collect();
                     all.sort_unstable_by(|a, b| cmp_keys(&a.0, &b.0));
                     all
                 };
-                disk.runs[shard] = vec![Run::seal(&mut disk.file, merged)];
+                self.runs[shard] = vec![Run::seal(&mut self.file, merged)];
             }
         }
     }
@@ -458,9 +441,9 @@ mod tests {
     fn spill_backend_agrees_with_mem_under_constant_sealing() {
         // ~25 entries of budget: every batch of inserts forces seals, runs
         // accumulate and compact, and every lookup (present and absent) must
-        // keep agreeing with the mem backend.
-        let mut mem = Visited::new(StoreKind::Mem, u64::MAX);
-        let mut spill = Visited::new(StoreKind::Spill, 25 * VISITED_ENTRY_BYTES);
+        // keep agreeing with the unbudgeted map.
+        let mut mem = Visited::new(None);
+        let mut spill = Visited::new(Some(25 * VISITED_ENTRY_BYTES));
         for batch in 0..40u64 {
             for i in 0..50u64 {
                 let seed = batch * 50 + i;
@@ -469,7 +452,7 @@ mod tests {
                 spill.insert(k, seed as u32);
             }
             spill.maybe_seal();
-            mem.maybe_seal(); // no-op on the mem backend
+            mem.maybe_seal(); // no-op without a budget
             for probe_seed in 0..(batch + 1) * 50 + 25 {
                 let k = key(probe_seed);
                 assert_eq!(
@@ -494,7 +477,7 @@ mod tests {
         // Two maps fed the same entries in the same batches spill the same
         // byte count — the determinism `visited_spilled_bytes` relies on.
         let run = || {
-            let mut v = Visited::new(StoreKind::Spill, 40 * VISITED_ENTRY_BYTES);
+            let mut v = Visited::new(Some(40 * VISITED_ENTRY_BYTES));
             for batch in 0..20u64 {
                 for i in 0..37u64 {
                     let seed = batch * 37 + i;
@@ -511,7 +494,7 @@ mod tests {
     fn footer_blocks_cover_runs_larger_than_one_block() {
         // One shard, one big sealed run spanning many footer blocks: every
         // key probes back, absent keys do not.
-        let mut v = Visited::new(StoreKind::Spill, 0);
+        let mut v = Visited::new(Some(0));
         for seed in 0..(FOOTER_STRIDE as u64 * 5 + 7) {
             v.insert(key(seed), seed as u32);
         }

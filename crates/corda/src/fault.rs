@@ -119,7 +119,8 @@ pub enum FaultModel {
 }
 
 /// `splitmix64` — the same derivation the sweep grid uses for per-cell
-/// seeds, re-stated here so `rr-corda` stays dependency-free.
+/// seeds, re-stated here because the grid's copy lives in `rr-bench`, which
+/// depends on `rr-corda`.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
