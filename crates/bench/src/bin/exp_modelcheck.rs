@@ -73,11 +73,11 @@ use rr_bench::sweep::{
 };
 use rr_checker::explore::{
     check_protocol_quotient_with_stats, check_protocol_with_stats, replay_counterexample,
-    CheckOutcome, ExploreOptions, MutatedProtocol, ViolationKind, DEFAULT_MAX_STATES,
-    DEFAULT_MEM_BUDGET,
+    CheckOutcome, ExploreOptions, ExploreReport, MutatedProtocol, ViolationKind,
+    DEFAULT_MAX_STATES, DEFAULT_MEM_BUDGET,
 };
-use rr_checker::StoreKind;
-use rr_corda::{Decision, InterleavingMode, Protocol, ViewIndex};
+use rr_checker::{StoreKind, StoreStats};
+use rr_corda::{Decision, InterleavingMode, Protocol, SimError, ViewIndex};
 use rr_core::invariant::{AlignmentInvariant, GatheringInvariant, Invariant, SearchingInvariant};
 use rr_core::unified::{protocol_for, Task};
 use rr_core::{AlignProtocol, GatheringProtocol};
@@ -312,7 +312,10 @@ fn run_cell(cell: Cell, experiment: &str, cfg: &CheckCfg) -> ModelCheckRecord {
 /// The canary: a gathering protocol with ONE decision-table entry mutated
 /// (the initial class idles → fair no-progress lasso) and an Align protocol
 /// with one entry mutated into a move (→ collision).  Both must be falsified
-/// with counterexamples that replay on the engine.
+/// with counterexamples that replay on the engine.  The liveness mutant
+/// runs through both entry points: the exact-key reference and the
+/// quotient checker, whose σ-threaded liveness reads the alignments it
+/// recorded on every edge during expansion.
 fn selftest() -> Result<(), String> {
     // Liveness mutant.
     let initial = enumerate_rigid_configurations(7, 3)
@@ -324,30 +327,48 @@ fn selftest() -> Result<(), String> {
         MutatedProtocol::<GatheringProtocol>::trigger_for(&initial),
         Decision::Idle,
     );
-    for mode in [
-        InterleavingMode::SsyncSubsets,
-        InterleavingMode::AsyncPhases,
-    ] {
-        let report = check_protocol_with_stats(
-            &mutant,
-            &initial,
-            &GatheringInvariant::new(),
-            &ExploreOptions::new(mode),
-        )
-        .map_err(|e| e.to_string())?
-        .0;
-        let Some(ce) = report.counterexample() else {
-            return Err(format!("{mode}: idle mutant was NOT falsified"));
-        };
-        if ce.kind != ViolationKind::Liveness {
-            return Err(format!("{mode}: expected a liveness counterexample"));
+    type Check = fn(
+        &MutatedProtocol<GatheringProtocol>,
+        &Configuration,
+        &dyn Invariant,
+        &ExploreOptions,
+    ) -> Result<(ExploreReport, StoreStats), SimError>;
+    let entry_points: [(&str, Check); 2] = [
+        ("exact", check_protocol_with_stats),
+        ("quotient", check_protocol_quotient_with_stats),
+    ];
+    for (path, check) in entry_points {
+        for mode in [
+            InterleavingMode::SsyncSubsets,
+            InterleavingMode::AsyncPhases,
+        ] {
+            let report = check(
+                &mutant,
+                &initial,
+                &GatheringInvariant::new(),
+                &ExploreOptions::new(mode),
+            )
+            .map_err(|e| e.to_string())?
+            .0;
+            let Some(ce) = report.counterexample() else {
+                return Err(format!("{path} {mode}: idle mutant was NOT falsified"));
+            };
+            if ce.kind != ViolationKind::Liveness {
+                return Err(format!("{path} {mode}: expected a liveness counterexample"));
+            }
+            let replay = replay_counterexample(&mutant, &initial, &GatheringInvariant::new(), ce)
+                .map_err(|e| e.to_string())?;
+            if !replay.reproduced {
+                return Err(format!(
+                    "{path} {mode}: lasso did not replay: {}",
+                    replay.detail
+                ));
+            }
+            println!(
+                "# selftest {path} {mode}: idle mutant falsified: {}",
+                ce.render()
+            );
         }
-        let replay = replay_counterexample(&mutant, &initial, &GatheringInvariant::new(), ce)
-            .map_err(|e| e.to_string())?;
-        if !replay.reproduced {
-            return Err(format!("{mode}: lasso did not replay: {}", replay.detail));
-        }
-        println!("# selftest {mode}: idle mutant falsified: {}", ce.render());
     }
     // Safety mutant: at C* of (8, 4) a robot's clockwise neighbour is
     // occupied; forcing that class to move lets the adversary collide.

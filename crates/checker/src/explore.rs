@@ -63,16 +63,17 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
+use rr_corda::packed::SigHashBuilder;
 use rr_corda::{
     CorruptionKind, Decision, Engine, EngineOptions, EngineState, FaultModel, InterleavingMode,
     NondeterministicScheduler, PackedState, Protocol, RobotId, RobotState, SchedulerStep, SimError,
     Snapshot, StateSig, ViewOrder, MAX_CANONICAL_N,
 };
 use rr_core::invariant::{AugState, Invariant, LivenessMode, StateView};
-use rr_core::relabel::{relabel_onto, RobotPerm, MAX_PERM_ROBOTS};
+use rr_core::relabel::{RobotPerm, MAX_PERM_ROBOTS};
 use rr_ring::{Configuration, View};
 
-use crate::store::{Edge, EdgeStore, StateStore, StoreKind, StoreStats};
+use crate::store::{Aligns, Edge, EdgeStore, StateStore, StoreKind, StoreStats};
 use crate::visited::{shard_of, Key, Memtable, Visited, VISITED_ENTRY_BYTES, VISITED_SHARDS};
 
 /// Default state budget: generous for every cell of the acceptance grid, a
@@ -727,25 +728,6 @@ fn realize_codes(
 // sorted-run backend) live in `crate::visited`; this module computes keys and
 // drives the map at its sequential merge points.
 
-/// Computes the dedup key straight from the live engine (no codec round
-/// trip); equals `make_key(&engine.pack_state(), aug_bits, dedup, fault)`.
-fn make_key_from_engine<P: Protocol>(
-    engine: &Engine<P>,
-    aug_bits: u64,
-    dedup: Dedup,
-    fault: u32,
-) -> Key {
-    let sig = match dedup {
-        Dedup::Exact => engine.behavior_sig(),
-        Dedup::Canonical => engine.canonical_sig(),
-    };
-    Key {
-        sig,
-        aug: aug_bits,
-        fault,
-    }
-}
-
 fn make_key(packed: &PackedState, aug_bits: u64, dedup: Dedup, fault: u32) -> Key {
     let sig = match dedup {
         Dedup::Exact => packed.behavior_sig(),
@@ -783,6 +765,10 @@ struct Graph<'a> {
     meta: &'a [NodeMeta],
     offsets: &'a [u32],
     edges: &'a [Edge],
+    /// Per edge, its recorded robot alignment π as a packed
+    /// [`RobotPerm`] image word — present only when liveness is decided on
+    /// the canonical quotient, empty otherwise.
+    aligns: &'a Aligns,
 }
 
 impl<'a> Graph<'a> {
@@ -818,6 +804,9 @@ fn state_view(state: &EngineState, crashed: u32) -> StateView<'_> {
 /// the exploration switches to exact keys on its own: a sound class key
 /// would have to canonicalize the engine state and the auxiliary state
 /// jointly, and crashed masks and fairness exemptions are per-robot-id.
+/// It does the same when it decides liveness for more than 16 robots,
+/// whose relabelings do not fit the 4-bit alignment each quotient edge
+/// records.
 /// The report then equals [`check_protocol_with_stats`]'s in every field
 /// except [`ExploreReport::quotient_states`].  In the (astronomically
 /// unlikely) event that the threaded analysis exceeds its internal state
@@ -883,6 +872,9 @@ struct ExploreCtx<'a> {
     dedup: Dedup,
     reach_mode: bool,
     faults: FaultBudget,
+    /// Whether regular successors carry their canonical robot rank (runs
+    /// that decide liveness on the quotient record each edge's alignment).
+    record_align: bool,
 }
 
 /// One expansion worker: a reusable engine plus scratch buffers.  Workers
@@ -905,20 +897,22 @@ enum SuccState {
     /// Not yet mapped at expansion time (it may still turn out to be a
     /// duplicate of a state discovered earlier in the same batch; the merge
     /// re-probes).
+    /// Its key carries the successor's auxiliary bits and fault word.
     Fresh {
         packed: PackedState,
         key: Key,
-        aug_bits: u64,
-        fault: u32,
         target: bool,
     },
 }
 
 /// One successor produced by expanding a node: the step code, the edge
-/// flags, and the packed after-state when it looked new.
+/// flags, the after-state's canonical robot rank (when
+/// [`ExploreCtx::record_align`]; `0` otherwise), and the packed after-state
+/// when it looked new.
 struct Succ {
     code: u32,
     progress: bool,
+    rank: u64,
     state: SuccState,
 }
 
@@ -972,8 +966,6 @@ fn expand_node<P: Protocol>(
                 None => SuccState::Fresh {
                     packed: packed.clone(),
                     key,
-                    aug_bits: node.aug_bits,
-                    fault: new_fault,
                     target: ctx.reach_mode
                         && ctx
                             .invariant
@@ -983,6 +975,7 @@ fn expand_node<P: Protocol>(
             succs.push(Succ {
                 code,
                 progress: false,
+                rank: 0,
                 state,
             });
             continue;
@@ -1028,20 +1021,31 @@ fn expand_node<P: Protocol>(
             break;
         }
         let aug_bits = aug.key_bits();
-        let key = make_key_from_engine(engine, aug_bits, ctx.dedup, new_fault);
+        // The key straight from the live engine (no codec round trip; equal
+        // to `make_key` of the packed state), and the rank from the same
+        // canonical pass.
+        let (sig, rank) = match ctx.dedup {
+            Dedup::Exact => (engine.behavior_sig(), 0),
+            Dedup::Canonical if ctx.record_align => engine.canonical_sig_and_rank(),
+            Dedup::Canonical => (engine.canonical_sig(), 0),
+        };
+        let key = Key {
+            sig,
+            aug: aug_bits,
+            fault: new_fault,
+        };
         let state = match visited.get(&key) {
             Some(id) => SuccState::Known(id),
             None => SuccState::Fresh {
                 packed: engine.pack_behavior(),
                 key,
-                aug_bits,
-                fault: new_fault,
                 target: ctx.reach_mode && ctx.invariant.is_target(&after_view, &aug),
             },
         };
         succs.push(Succ {
             code,
             progress,
+            rank,
             state,
         });
     }
@@ -1255,6 +1259,29 @@ fn resolve_workers(requested: usize) -> usize {
     resolved.clamp(1, BATCH)
 }
 
+/// What the breadth-first sweep leaves for the liveness pass: the stored
+/// graph, and the report and storage stats of the sweep.  The visited map
+/// is already dropped (its spill file with it), so the liveness pass loads
+/// the edges into the footprint it freed.
+struct Explored<P> {
+    meta: Vec<NodeMeta>,
+    offsets: Vec<u32>,
+    store: StateStore,
+    sink: EdgeStore,
+    /// A worker's engine: the scratch engine of the quotient lasso
+    /// realization.
+    engine: Engine<P>,
+    /// The dedup mode the sweep actually ran (the quotient falls back to
+    /// exact keys where it is unsound).
+    dedup: Dedup,
+    full_mask: u32,
+    /// Complete but for liveness: the outcome is final when the sweep
+    /// stopped early (a safety violation, the state budget), and
+    /// [`CheckOutcome::Verified`] otherwise.
+    report: ExploreReport,
+    stats: StoreStats,
+}
+
 /// The exploration engine.  Returns the report, the storage backend's
 /// stats, and whether the quotient-liveness analysis overflowed its thread
 /// cap (in which case the report's outcome is not a verdict and the caller
@@ -1266,6 +1293,43 @@ fn explore<P: Protocol + Clone + Send>(
     options: &ExploreOptions,
     dedup: Dedup,
 ) -> Result<(ExploreReport, StoreStats, bool), SimError> {
+    let mut explored = explore_graph(protocol, initial, invariant, options, dedup)?;
+    if !options.check_liveness || !explored.report.verified() {
+        return Ok((explored.report, explored.stats, false));
+    }
+    let (edges, aligns) = explored.sink.finish();
+    let graph = Graph {
+        meta: &explored.meta,
+        offsets: &explored.offsets,
+        edges: &edges,
+        aligns: &aligns,
+    };
+    let full_mask = explored.full_mask;
+    let violation = if explored.dedup == Dedup::Canonical {
+        let store = &mut explored.store;
+        match quotient_liveness_violation(&graph, store, &explored.engine, full_mask, invariant) {
+            Ok(violation) => violation,
+            Err(QuotientOverflow) => return Ok((explored.report, explored.stats, true)),
+        }
+    } else {
+        liveness_violation(&graph, full_mask, options.faults.starve_mask, invariant)
+    };
+    if let Some(ce) = violation {
+        explored.report.outcome = CheckOutcome::Falsified(Box::new(ce));
+    }
+    Ok((explored.report, explored.stats, false))
+}
+
+/// The breadth-first sweep of [`explore`]: discovers, stores and links
+/// every reachable state, checking safety on every edge, and stops at the
+/// first violation or when the state budget trips.
+fn explore_graph<P: Protocol + Clone + Send>(
+    protocol: &P,
+    initial: &Configuration,
+    invariant: &dyn Invariant,
+    options: &ExploreOptions,
+    dedup: Dedup,
+) -> Result<Explored<P>, SimError> {
     let engine_options = EngineOptions::for_protocol(protocol);
     assert!(
         engine_options.view_order != ViewOrder::Alternating,
@@ -1295,11 +1359,22 @@ fn explore<P: Protocol + Clone + Send>(
     // engine state; with auxiliary path state, fall back to exact keys (the
     // invariant's variant is fixed for the entire run).  Fault budgets also
     // force exact keys: the crashed mask and the fairness exemptions are
-    // per-robot-id, which relabeling does not preserve.
+    // per-robot-id, which relabeling does not preserve.  Quotient liveness
+    // records 4-bit robot relabelings, so beyond 16 robots liveness is
+    // decided on exact keys too.
     let effective_dedup = match (dedup, &aug_template) {
-        (Dedup::Canonical, AugState::None) if options.faults.is_none() => Dedup::Canonical,
+        (Dedup::Canonical, AugState::None)
+            if options.faults.is_none() && (!options.check_liveness || k <= MAX_PERM_ROBOTS) =>
+        {
+            Dedup::Canonical
+        }
         _ => Dedup::Exact,
     };
+    // Runs that will decide liveness on the quotient record every edge's
+    // robot alignment π as it is merged: π = R_to ∘ P_after, the stored
+    // target's rank → id table after the successor's id → rank table, both
+    // read off the canonical pass that keyed the successor.
+    let record_align = effective_dedup == Dedup::Canonical && options.check_liveness;
     let workers = resolve_workers(options.workers);
 
     let root_state = root_engine.save_state();
@@ -1320,13 +1395,20 @@ fn explore<P: Protocol + Clone + Send>(
     // each signature is computed once, straight from the worker engine, when
     // its state is first discovered.
     let track_canon = dedup == Dedup::Exact;
-    let mut canonical_classes: HashSet<StateSig, rr_corda::packed::SigHashBuilder> =
-        HashSet::default();
+    let mut canonical_classes: HashSet<StateSig, SigHashBuilder> = HashSet::default();
     if track_canon {
         canonical_classes.insert(root_packed.canonical_sig());
     }
+    // Per stored node, its rank → id table (only when recording).
+    let rank_to_id = |rank: u64| RobotPerm::from_bits(k, rank).inverse();
+    let mut node_rank_ids: Vec<RobotPerm> = Vec::new();
+    if record_align {
+        node_rank_ids.push(rank_to_id(root_engine.canonical_sig_and_rank().1));
+    }
     let mut store = StateStore::new(spill_budget);
-    let mut sink = EdgeStore::new(spill_budget);
+    // π needs 4 bits per robot.
+    let align_width = if record_align { k.div_ceil(2) } else { 0 };
+    let mut sink = EdgeStore::new(spill_budget, align_width);
     let mut meta = vec![NodeMeta {
         aug_bits: root_bits,
         fault: 0,
@@ -1360,6 +1442,7 @@ fn explore<P: Protocol + Clone + Send>(
         dedup: effective_dedup,
         reach_mode,
         faults: options.faults,
+        record_align,
     };
 
     // Batch-synchronous BFS: expand the next window of nodes in parallel,
@@ -1436,8 +1519,6 @@ fn explore<P: Protocol + Clone + Send>(
                     SuccState::Fresh {
                         packed,
                         key,
-                        aug_bits,
-                        fault,
                         target,
                     } => {
                         let sc = &mut scratch[shard_of(&key)];
@@ -1472,12 +1553,15 @@ fn explore<P: Protocol + Clone + Send>(
                                     sc.assigned.push(id);
                                     store.push(packed);
                                     meta.push(NodeMeta {
-                                        aug_bits,
-                                        fault,
+                                        aug_bits: key.aug,
+                                        fault: key.fault,
                                         parent: i as u32,
                                         parent_code: succ.code,
                                         target,
                                     });
+                                    if record_align {
+                                        node_rank_ids.push(rank_to_id(succ.rank));
+                                    }
                                     id
                                 }
                             }
@@ -1485,11 +1569,11 @@ fn explore<P: Protocol + Clone + Send>(
                     }
                 };
                 progress_edges += u64::from(succ.progress);
-                sink.push(Edge {
-                    to,
-                    code: succ.code,
-                    progress: succ.progress,
+                let align = record_align.then(|| {
+                    let after_rank = RobotPerm::from_bits(k, succ.rank);
+                    node_rank_ids[to as usize].compose(&after_rank).bits()
                 });
+                sink.push(Edge::new(to, succ.code, succ.progress), align);
             }
             if let Some((code, message)) = expansion.violation {
                 let mut codes = codes_from_root(&meta, i);
@@ -1523,19 +1607,6 @@ fn explore<P: Protocol + Clone + Send>(
     }
 
     debug_assert_eq!(store.len(), meta.len(), "store and metadata desynced");
-    let target_states = meta.iter().filter(|n| n.target).count();
-    let quotient_states = match dedup {
-        Dedup::Exact => canonical_classes.len(),
-        Dedup::Canonical => meta.len(),
-    };
-    let edge_count = sink.len();
-    // The visited map has served its purpose; free it before the liveness
-    // pass loads the edges back, so the load replaces rather than adds to
-    // the peak footprint.  Under a spill budget the drop also unlinks the
-    // on-disk run file — the runs are exploration-only state.
-    let visited_spilled_bytes = visited.spilled_bytes();
-    drop(visited);
-    let mut quotient_overflow = false;
     let outcome = if let Some(ce) = safety_ce {
         CheckOutcome::Falsified(Box::new(ce))
     } else if let Some((discovered, completed_expansions)) = budget {
@@ -1543,59 +1614,44 @@ fn explore<P: Protocol + Clone + Send>(
             discovered,
             completed_expansions,
         }
-    } else if options.check_liveness {
-        let edges = sink.finish();
-        let graph = Graph {
-            meta: &meta,
-            offsets: &offsets,
-            edges: &edges,
-        };
-        let violation = if effective_dedup == Dedup::Canonical {
-            match quotient_liveness_violation(
-                &graph,
-                &mut store,
-                &mut pool[0],
-                full_mask,
-                invariant,
-            ) {
-                Ok(violation) => violation,
-                Err(QuotientOverflow) => {
-                    quotient_overflow = true;
-                    None
-                }
-            }
-        } else {
-            liveness_violation(&graph, full_mask, options.faults.starve_mask, invariant)
-        };
-        match violation {
-            Some(ce) => CheckOutcome::Falsified(Box::new(ce)),
-            None => CheckOutcome::Verified,
-        }
     } else {
         CheckOutcome::Verified
-    };
-
-    let stats = StoreStats {
-        store: options.store,
-        spilled_bytes: store.spilled_bytes() + sink.spilled_bytes(),
-        visited_spilled_bytes,
-        expand_nanos,
-        merge_nanos,
     };
     let report = ExploreReport {
         invariant: invariant.name(),
         interleaving: options.interleaving,
         states: meta.len(),
-        quotient_states,
-        edges: edge_count,
-        target_states,
+        quotient_states: match dedup {
+            Dedup::Exact => canonical_classes.len(),
+            Dedup::Canonical => meta.len(),
+        },
+        edges: sink.len(),
+        target_states: meta.iter().filter(|n| n.target).count(),
         progress_edges,
         peak_resident_nodes: peak_resident,
         peak_resident_bytes,
         state_bytes: store.payload_bytes(),
         outcome,
     };
-    Ok((report, stats, quotient_overflow))
+    // Final already: the edge store counts its buffered records.
+    let stats = StoreStats {
+        store: options.store,
+        spilled_bytes: store.spilled_bytes() + sink.spilled_bytes(),
+        visited_spilled_bytes: visited.spilled_bytes(),
+        expand_nanos,
+        merge_nanos,
+    };
+    Ok(Explored {
+        meta,
+        offsets,
+        store,
+        sink,
+        engine: pool.swap_remove(0).engine,
+        dedup: effective_dedup,
+        full_mask,
+        report,
+        stats,
+    })
 }
 
 /// Edge codes from the root to node `i`, following BFS parent pointers.
@@ -1663,7 +1719,7 @@ impl LassoScan {
 
     /// An eligible lasso edge: non-progress, between reachable states.
     fn eligible(&self, u: usize, e: &Edge) -> bool {
-        self.reachable[u] && self.reachable[e.to as usize] && !e.progress
+        self.reachable[u] && self.reachable[e.to as usize] && !e.progress()
     }
 
     /// An eligible edge inside its source's SCC.
@@ -1801,7 +1857,7 @@ fn liveness_violation(
         required[scc[u]] = full_mask & !fault_crashed(nodes[u].fault) & !starve_mask;
         for e in graph.out(u) {
             if scan.internal(u, e) {
-                coverage[scc[u]] |= step_activation_mask(e.code);
+                coverage[scc[u]] |= step_activation_mask(e.code());
                 has_edge[scc[u]] = true;
             }
         }
@@ -1816,7 +1872,7 @@ fn liveness_violation(
         .expect("non-empty SCC");
     let codes = |walk: Vec<(usize, usize)>| -> Vec<u32> {
         walk.into_iter()
-            .map(|(u, ei)| graph.out(u)[ei].code)
+            .map(|(u, ei)| graph.out(u)[ei].code())
             .collect()
     };
     let prefix_codes = codes(scan.tree_path(entry));
@@ -1824,7 +1880,7 @@ fn liveness_violation(
         |u| graph.out(u),
         |u, e: &Edge| {
             scan.internal(u, e)
-                .then(|| (e.to as usize, step_activation_mask(e.code)))
+                .then(|| (e.to as usize, step_activation_mask(e.code())))
         },
         entry,
         required[bad],
@@ -1859,7 +1915,14 @@ fn liveness_violation(
 //
 // * each stored edge `u --code--> v` carries the deterministic alignment
 //   `π = relabel_onto(step(u, code), v)` (robot `i` of the actual successor
-//   is robot `π(i)` of the stored representative);
+//   is robot `π(i)` of the stored representative).  Expansion computes it
+//   once, where it already canonicalizes the successor:
+//   [`Engine::canonical_sig_and_rank`] returns the successor's id → rank
+//   table `P_after` from the same canonical pass as its key, the merge's
+//   ordering pass composes `π = R_v ∘ P_after` with the stored target's
+//   rank → id table `R_v` (a per-node side vector), and the edge store
+//   keeps `π` next to the edge.  The analysis below only reads it — no edge
+//   is ever replayed;
 // * a *thread* is a pair `(u, σ)` — a quotient state plus the relabeling
 //   accumulated since the thread's seed; traversing the edge above maps
 //   `(u, σ) → (v, σ ∘ π⁻¹)`, and the robots *concretely* activated are
@@ -1896,12 +1959,15 @@ const THREAD_CAP: usize = 4_000_000;
 /// must decide liveness by exact exploration instead.
 struct QuotientOverflow;
 
-/// One stored edge internal to a candidate SCC, with its relabeling.
+/// One stored edge internal to a candidate SCC: its target's index within
+/// the SCC, its stored activation mask, its index in the stored graph (for
+/// the code), and `π⁻¹`, which a thread's relabeling composes with across
+/// it.
 struct AlignedEdge {
     to_local: u32,
     mask: u32,
-    code: u32,
-    perm: RobotPerm,
+    edge: u32,
+    pi_inv: RobotPerm,
 }
 
 /// One edge of the threaded graph.
@@ -1911,35 +1977,25 @@ struct ThreadEdge {
     /// *concrete* robots this edge activates on threads seeded at the
     /// identity.
     mask: u32,
-    code: u32,
-    perm: RobotPerm,
+    /// The [`AlignedEdge`] this edge threads.
+    aligned: u32,
 }
 
-/// The relabeling π of one stored quotient edge `(from, code, to)`: step
-/// `from` by the coded step on the worker's scratch engine and align the
-/// successor onto the stored representative `to` (robot `i` of the actual
-/// successor ↦ robot `π(i)` of `to`).  Pure in the stored bits, hence
-/// identical for every worker count and storage backend.
-fn edge_relabeling<P: Protocol>(
-    worker: &mut Worker<P>,
-    from: &PackedState,
-    to: &PackedState,
-    code: u32,
-) -> RobotPerm {
-    let Worker {
-        engine,
-        ssync_buf,
-        report,
-        ..
-    } = worker;
-    engine.restore_packed(from);
-    let step = decode_step_with(code, ssync_buf);
-    engine
-        .step_into(&step, &mut (), report)
-        .expect("stored quotient edge replays");
-    recycle_step(step, ssync_buf);
-    let after = engine.pack_behavior();
-    relabel_onto(&after, to).expect("quotient edge endpoints share a canonical class")
+/// The threaded analysis' buffers, reused across candidate SCCs.  Both
+/// graphs are CSR: a node's edges are appended in one run, so its offsets
+/// bracket them.
+#[derive(Default)]
+struct ThreadScratch {
+    /// Stored node → index within the current candidate SCC; `u32::MAX`
+    /// outside it (reset after each SCC).
+    local: Vec<u32>,
+    aligned_offsets: Vec<u32>,
+    aligned: Vec<AlignedEdge>,
+    thread_of: HashMap<(u32, RobotPerm), u32, SigHashBuilder>,
+    /// Threads in discovery (BFS) order: `(local member, σ)`.
+    threads: Vec<(u32, RobotPerm)>,
+    thread_offsets: Vec<usize>,
+    thread_edges: Vec<ThreadEdge>,
 }
 
 /// Remaps a regular step code through a robot relabeling: the same step
@@ -1957,12 +2013,13 @@ fn remap_code(code: u32, phi: &RobotPerm) -> u32 {
 
 /// Decides liveness on the canonical quotient graph — the threaded-analysis
 /// counterpart of [`liveness_violation`], sound and complete for per-robot
-/// weak fairness.  Requires fault-free canonical exploration (the explorer
-/// guarantees it: fault budgets and auxiliary state force exact dedup).
+/// weak fairness.  Requires fault-free canonical exploration with recorded
+/// alignments (the explorer guarantees it: fault budgets, auxiliary state
+/// and `k > 16` force exact dedup).
 fn quotient_liveness_violation<P: Protocol + Clone>(
     graph: &Graph<'_>,
     store: &mut StateStore,
-    worker: &mut Worker<P>,
+    engine: &Engine<P>,
     full_mask: u32,
     invariant: &dyn Invariant,
 ) -> Result<Option<Counterexample>, QuotientOverflow> {
@@ -1970,11 +2027,7 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
     let Some(scan) = LassoScan::new(graph) else {
         return Ok(None);
     };
-    let k = full_mask.count_ones() as usize;
-    assert!(
-        k <= MAX_PERM_ROBOTS,
-        "quotient liveness supports k ≤ {MAX_PERM_ROBOTS}"
-    );
+    debug_assert_eq!(graph.aligns.len(), graph.edges.len(), "unaligned edges");
 
     // Candidate SCCs: any internal eligible edge at all.  No coverage
     // prefilter on the raw masks — the quotient renames robots at every
@@ -1990,121 +2043,150 @@ fn quotient_liveness_violation<P: Protocol + Clone>(
     // Group candidate members once, in node-id order; candidates are then
     // processed in order of their first (lowest-id) member — deterministic
     // in the quotient graph alone.
-    let mut slot = vec![u32::MAX; scan.scc_count];
-    let mut candidates: Vec<Vec<u32>> = Vec::new();
+    let mut first = vec![u32::MAX; scan.scc_count];
+    let mut members: Vec<u32> = Vec::new();
     for (u, &c) in scan.scc.iter().enumerate() {
-        if !has_edge[c] {
-            continue;
+        if has_edge[c] {
+            first[c] = first[c].min(u as u32);
+            members.push(u as u32);
         }
-        if slot[c] == u32::MAX {
-            slot[c] = candidates.len() as u32;
-            candidates.push(Vec::new());
-        }
-        candidates[slot[c] as usize].push(u as u32);
     }
+    // Stable: ids stay ascending within a candidate.
+    members.sort_by_key(|&u| first[scan.scc[u as usize]]);
 
-    for members in &candidates {
-        if let Some(ce) =
-            threaded_violation_in_scc(graph, &scan, store, worker, members, invariant, full_mask)?
+    let mut scratch = ThreadScratch {
+        local: vec![u32::MAX; meta.len()],
+        ..ThreadScratch::default()
+    };
+    for members in members.chunk_by(|&a, &b| scan.scc[a as usize] == scan.scc[b as usize]) {
+        if let Some(lasso) = threaded_lasso_in_scc(graph, &scan, &mut scratch, members, full_mask)?
         {
-            return Ok(Some(ce));
+            let (prefix, cycle) = realize_lasso(&lasso, store, engine, full_mask);
+            return Ok(Some(Counterexample {
+                kind: ViolationKind::Liveness,
+                message: lasso_message(invariant, 0),
+                prefix,
+                cycle,
+                faults: Vec::new(),
+                starved: 0,
+            }));
         }
     }
     Ok(None)
 }
 
-/// Builds the threaded graph of one candidate SCC, looks for a covering
-/// threaded SCC, and realizes the concrete counterexample if one exists.
-fn threaded_violation_in_scc<P: Protocol + Clone>(
+/// A fair lasso of the quotient graph, as stored-graph steps (code, `π⁻¹`):
+/// the target-avoiding tree prefix from the root to the stored node
+/// `entry`, and a covering closed thread-walk through `entry`.
+struct ThreadedLasso {
+    entry: usize,
+    prefix: Vec<(u32, RobotPerm)>,
+    walk: Vec<(u32, RobotPerm)>,
+}
+
+/// Builds the threaded graph of one candidate SCC and looks for a covering
+/// threaded SCC; returns its lasso if one exists.
+fn threaded_lasso_in_scc(
     graph: &Graph<'_>,
     scan: &LassoScan,
-    store: &mut StateStore,
-    worker: &mut Worker<P>,
+    scratch: &mut ThreadScratch,
     members: &[u32],
-    invariant: &dyn Invariant,
     full_mask: u32,
-) -> Result<Option<Counterexample>, QuotientOverflow> {
+) -> Result<Option<ThreadedLasso>, QuotientOverflow> {
     let k = full_mask.count_ones() as usize;
     let identity = RobotPerm::identity(k);
     if members.len() >= THREAD_CAP {
         return Err(QuotientOverflow);
     }
+    let ThreadScratch {
+        local,
+        aligned_offsets,
+        aligned,
+        thread_of,
+        threads,
+        thread_offsets,
+        thread_edges,
+    } = scratch;
 
-    // Stored representatives of the members, and the aligned internal edges.
-    let local: HashMap<u32, u32> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, i as u32))
-        .collect();
-    let packed: Vec<PackedState> = members.iter().map(|&u| store.get(u as usize)).collect();
-    let mut out: Vec<Vec<AlignedEdge>> = members.iter().map(|_| Vec::new()).collect();
-    for (lu, &u) in members.iter().enumerate() {
-        for e in graph.out(u as usize) {
-            if !scan.internal(u as usize, e) {
+    // The internal edges with their recorded alignments, by local source.
+    for (i, &u) in members.iter().enumerate() {
+        local[u as usize] = i as u32;
+    }
+    aligned_offsets.clear();
+    aligned.clear();
+    aligned_offsets.push(0);
+    for &u in members {
+        let u = u as usize;
+        let base = graph.offsets[u] as usize;
+        for (ei, e) in graph.out(u).iter().enumerate() {
+            if !scan.internal(u, e) {
                 continue;
             }
-            let lv = local[&e.to];
-            let perm = edge_relabeling(worker, &packed[lu], &packed[lv as usize], e.code);
-            out[lu].push(AlignedEdge {
-                to_local: lv,
-                mask: step_activation_mask(e.code),
-                code: e.code,
-                perm,
+            let edge = base + ei;
+            aligned.push(AlignedEdge {
+                to_local: local[e.to as usize],
+                mask: step_activation_mask(e.code()),
+                edge: edge as u32,
+                pi_inv: RobotPerm::from_bits(k, graph.aligns.get(edge)).inverse(),
             });
         }
+        aligned_offsets.push(aligned.len() as u32);
+    }
+    for &u in members {
+        local[u as usize] = u32::MAX;
     }
 
     // Threaded BFS, every member seeded at the identity relabeling (seeding
     // at the identity is complete: a concrete lasso's threaded projection
     // from `(u₀, id)` closes within `ord(Λ)` traversals and already covers
     // fully on its first — see the module commentary above).
-    let mut thread_of: HashMap<(u32, RobotPerm), u32> = HashMap::new();
-    let mut threads: Vec<(u32, RobotPerm)> = Vec::new();
-    let mut t_out: Vec<Vec<ThreadEdge>> = Vec::new();
+    thread_of.clear();
+    threads.clear();
+    thread_offsets.clear();
+    thread_edges.clear();
     for lu in 0..members.len() as u32 {
         thread_of.insert((lu, identity), lu);
         threads.push((lu, identity));
-        t_out.push(Vec::new());
     }
+    thread_offsets.push(0);
     let mut cursor = 0usize;
     while cursor < threads.len() {
         let (lu, sigma) = threads[cursor];
-        let mut edges_here = Vec::with_capacity(out[lu as usize].len());
-        for edge in &out[lu as usize] {
-            let next_sigma = sigma.compose(&edge.perm.inverse());
-            let key = (edge.to_local, next_sigma);
-            let to = match thread_of.get(&key) {
-                Some(&t) => t,
-                None => {
+        let edges = aligned_offsets[lu as usize]..aligned_offsets[lu as usize + 1];
+        for ai in edges {
+            let edge = &aligned[ai as usize];
+            let key = (edge.to_local, sigma.compose(&edge.pi_inv));
+            let to = match thread_of.entry(key) {
+                std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
+                std::collections::hash_map::Entry::Vacant(entry) => {
                     if threads.len() >= THREAD_CAP {
                         return Err(QuotientOverflow);
                     }
                     let t = threads.len() as u32;
-                    thread_of.insert(key, t);
+                    entry.insert(t);
                     threads.push(key);
-                    t_out.push(Vec::new());
                     t
                 }
             };
-            edges_here.push(ThreadEdge {
+            thread_edges.push(ThreadEdge {
                 to,
                 mask: sigma.image_mask(edge.mask),
-                code: edge.code,
-                perm: edge.perm,
+                aligned: ai,
             });
         }
-        t_out[cursor] = edges_here;
+        thread_offsets.push(thread_edges.len());
         cursor += 1;
     }
+    let t_out = |v: usize| &thread_edges[thread_offsets[v]..thread_offsets[v + 1]];
 
     // SCC + fairness coverage on the threaded graph.
-    let (t_scc, t_count) = tarjan_core(threads.len(), &|v| t_out[v].len(), &|v, i| {
-        Some(t_out[v][i].to as usize)
+    let (t_scc, t_count) = tarjan_core(threads.len(), &|v| t_out(v).len(), &|v, i| {
+        Some(t_out(v)[i].to as usize)
     });
     let mut coverage = vec![0u32; t_count];
     let mut t_has_edge = vec![false; t_count];
     for v in 0..threads.len() {
-        for e in &t_out[v] {
+        for e in t_out(v) {
             if t_scc[e.to as usize] == t_scc[v] {
                 coverage[t_scc[v]] |= e.mask;
                 t_has_edge[t_scc[v]] = true;
@@ -2116,91 +2198,90 @@ fn threaded_violation_in_scc<P: Protocol + Clone>(
         return Ok(None);
     };
     // Entry: the lowest-index thread node of the bad threaded SCC, and a
-    // covering closed thread-walk through it.
+    // covering closed thread-walk through it, as (code, π⁻¹) per step.
     let entry_t = (0..threads.len())
         .find(|&v| t_scc[v] == bad)
         .expect("non-empty SCC");
     let walk: Vec<(u32, RobotPerm)> = covering_walk(
-        |v| t_out[v].as_slice(),
+        t_out,
         |_, e: &ThreadEdge| (t_scc[e.to as usize] == bad).then_some((e.to as usize, e.mask)),
         entry_t,
         full_mask,
     )
     .into_iter()
-    .map(|(v, ei)| (t_out[v][ei].code, t_out[v][ei].perm))
+    .map(|(v, ei)| {
+        let edge = &aligned[t_out(v)[ei].aligned as usize];
+        (graph.edges[edge.edge as usize].code(), edge.pi_inv)
+    })
     .collect();
 
-    // Stored-tree prefix root → entry's stored node, with per-edge
-    // alignments (the worker's engine is the shared scratch).
+    // Stored-tree prefix root → entry's stored node, with the recorded
+    // alignments of its edges.
     let (entry_local, _) = threads[entry_t];
-    let entry_node = members[entry_local as usize] as usize;
-    let mut prefix_perms: Vec<(u32, RobotPerm)> = Vec::new();
-    for (p, ei) in scan.tree_path(entry_node) {
-        let e = &graph.out(p)[ei];
-        let from = store.get(p);
-        let to = store.get(e.to as usize);
-        prefix_perms.push((e.code, edge_relabeling(worker, &from, &to, e.code)));
-    }
+    let entry = members[entry_local as usize] as usize;
+    let prefix = scan
+        .tree_path(entry)
+        .into_iter()
+        .map(|(p, ei)| {
+            let edge = graph.offsets[p] as usize + ei;
+            let pi = RobotPerm::from_bits(k, graph.aligns.get(edge));
+            (graph.edges[edge].code(), pi.inverse())
+        })
+        .collect();
+    Ok(Some(ThreadedLasso {
+        entry,
+        prefix,
+        walk,
+    }))
+}
 
-    // Realize concretely.  The stored root *is* the concrete initial state,
-    // so the alignment φ starts at the identity; every realized step remaps
-    // its stored activation set through the current φ, then advances φ by
-    // the edge's relabeling.
-    let mut engine = worker.engine.clone();
+/// Realizes a quotient lasso over concrete robots: the prefix and the
+/// cycle as scheduler steps.  The stored root *is* the concrete initial
+/// state, so the alignment φ starts at the identity; every realized step
+/// remaps its stored activation set through the current φ, then advances
+/// φ by the edge's relabeling.  The walk repeats until the concrete state
+/// closes on the exact entry state (each traversal applies a fixed
+/// dihedral symmetry, so closure happens within ord ≤ n traversals).
+fn realize_lasso<P: Protocol + Clone>(
+    lasso: &ThreadedLasso,
+    store: &mut StateStore,
+    engine: &Engine<P>,
+    full_mask: u32,
+) -> (Vec<SchedulerStep>, Vec<SchedulerStep>) {
+    let mut engine = engine.clone();
     engine.restore_packed(&store.get(0));
     let mut report = rr_corda::StepReport::default();
-    let mut phi = identity;
-    let mut prefix: Vec<SchedulerStep> = Vec::new();
-    for (code, perm) in prefix_perms {
+    let mut phi = RobotPerm::identity(full_mask.count_ones() as usize);
+    let mut step_along = |engine: &mut Engine<P>, code: u32, pi_inv: &RobotPerm| {
         let step = decode_step_with(remap_code(code, &phi), &mut Vec::new());
         engine
             .step_into(&step, &mut (), &mut report)
-            .expect("realized prefix step replays");
-        prefix.push(step);
-        phi = phi.compose(&perm.inverse());
-    }
+            .expect("realized lasso step replays");
+        phi = phi.compose(pi_inv);
+        step
+    };
+    let prefix: Vec<SchedulerStep> = lasso
+        .prefix
+        .iter()
+        .map(|(code, pi_inv)| step_along(&mut engine, *code, pi_inv))
+        .collect();
     debug_assert_eq!(
         engine.canonical_sig(),
-        packed[entry_local as usize].canonical_sig(),
+        store.get(lasso.entry).canonical_sig(),
         "prefix realization left the entry's canonical class"
     );
     let entry_sig = engine.behavior_sig();
-
-    // Repeat the covering walk until the concrete state closes on the exact
-    // entry state (each traversal applies a fixed dihedral symmetry, so
-    // closure happens within ord ≤ n traversals).
-    let (n, _) = packed[entry_local as usize].instance();
-    let max_traversals = n + 2;
+    let max_traversals = engine.configuration().n() + 2;
     let mut cycle: Vec<SchedulerStep> = Vec::new();
-    let mut closed = false;
     for _ in 0..max_traversals {
-        for &(code, ref perm) in &walk {
-            let step = decode_step_with(remap_code(code, &phi), &mut Vec::new());
-            engine
-                .step_into(&step, &mut (), &mut report)
-                .expect("realized cycle step replays");
-            cycle.push(step);
-            phi = phi.compose(&perm.inverse());
+        for (code, pi_inv) in &lasso.walk {
+            cycle.push(step_along(&mut engine, *code, pi_inv));
         }
         if engine.behavior_sig() == entry_sig {
-            closed = true;
-            break;
+            return (prefix, cycle);
         }
     }
-    assert!(
-        closed,
-        "quotient lasso failed to close within {max_traversals} traversals — \
-         relabeling bookkeeping bug"
-    );
-
-    Ok(Some(Counterexample {
-        kind: ViolationKind::Liveness,
-        message: lasso_message(invariant, 0),
-        prefix,
-        cycle,
-        faults: Vec::new(),
-        starved: 0,
-    }))
+    panic!("quotient lasso failed to close within {max_traversals} traversals — relabeling bookkeeping bug");
 }
 
 /// Iterative Tarjan SCC over a graph given by an out-degree function and an
@@ -2225,11 +2306,12 @@ fn tarjan_core(
     // Explicit DFS stack: (node, next edge position); a node is initialized
     // the first time its frame is on top (pos == 0 implies first visit, as
     // pos is incremented before any child frame is pushed).
+    let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
         if index[root] != usize::MAX {
             continue;
         }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        call.push((root, 0));
         while let Some(&mut (v, ref mut pos)) = call.last_mut() {
             if *pos == 0 {
                 index[v] = next_index;
@@ -2543,6 +2625,7 @@ impl<P: Protocol> Protocol for MutatedProtocol<P> {
 mod tests {
     use super::*;
     use rr_core::invariant::{AlignmentInvariant, GatheringInvariant, SearchingInvariant};
+    use rr_core::relabel::relabel_onto;
     use rr_core::{AlignProtocol, GatheringProtocol};
     use rr_ring::enumerate::enumerate_rigid_configurations;
 
@@ -2850,39 +2933,31 @@ mod tests {
         assert!(replay.reproduced, "{}", replay.detail);
     }
 
+    /// The two public entry points, as one function-pointer type.
+    type EntryPoint<P> = fn(
+        &P,
+        &Configuration,
+        &dyn Invariant,
+        &ExploreOptions,
+    ) -> Result<(ExploreReport, StoreStats), SimError>;
+
+    fn entry_points<P: Protocol + Clone + Send>() -> [(&'static str, EntryPoint<P>); 2] {
+        [
+            ("exact", check_protocol_with_stats::<P>),
+            ("quotient", check_protocol_quotient_with_stats::<P>),
+        ]
+    }
+
     #[test]
     fn spill_store_reports_are_byte_identical_to_mem() {
         // The spill backend must be observationally invisible: identical
         // ExploreReport (and counterexample, on falsified cells) for every
         // budget — including budgets landing exactly on a cluster edge, the
         // point where the resident cache evicts precisely as a window seals.
+        // Both entry points: the quotient's edge stream also carries every
+        // edge's recorded alignment across the spill file.
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         let inv = GatheringInvariant::new();
-        for mode in MODES {
-            let base = ExploreOptions::new(mode);
-            let (mem, mem_stats) =
-                check_protocol_with_stats(&GatheringProtocol::new(), &initial, &inv, &base)
-                    .unwrap();
-            assert_eq!(mem_stats.store, StoreKind::Mem);
-            assert_eq!(mem_stats.spilled_bytes, 0);
-            let per_state = mem.state_bytes / mem.states as u64;
-            let cluster_bytes = per_state * crate::store::CLUSTER as u64;
-            for budget in [0, 1, cluster_bytes, 2 * cluster_bytes, u64::MAX] {
-                let (spill, spill_stats) = check_protocol_with_stats(
-                    &GatheringProtocol::new(),
-                    &initial,
-                    &inv,
-                    &base.with_store(StoreKind::Spill).with_mem_budget(budget),
-                )
-                .unwrap();
-                assert_eq!(spill, mem, "mode={mode} budget={budget}");
-                assert_eq!(spill_stats.store, StoreKind::Spill);
-                assert!(spill_stats.spilled_bytes > 0, "mode={mode}");
-            }
-        }
-        // Falsified cell: the counterexample inside the report must also be
-        // bit-for-bit identical (it is part of the PartialEq above, but
-        // assert the interesting piece explicitly).
         let mutant = MutatedProtocol::new(
             GatheringProtocol::new(),
             MutatedProtocol::<GatheringProtocol>::trigger_for(&initial),
@@ -2890,24 +2965,168 @@ mod tests {
         );
         for mode in MODES {
             let base = ExploreOptions::new(mode);
-            let mem = check_protocol_with_stats(&mutant, &initial, &inv, &base)
-                .unwrap()
-                .0;
-            let spill = check_protocol_with_stats(
-                &mutant,
-                &initial,
-                &inv,
-                &base.with_store(StoreKind::Spill).with_mem_budget(0),
-            )
+            for (path, check) in entry_points::<GatheringProtocol>() {
+                let (mem, mem_stats) =
+                    check(&GatheringProtocol::new(), &initial, &inv, &base).unwrap();
+                assert!(mem.verified(), "{path} mode={mode}");
+                assert_eq!(mem_stats.store, StoreKind::Mem);
+                assert_eq!(mem_stats.spilled_bytes, 0);
+                let per_state = mem.state_bytes / mem.states as u64;
+                let cluster_bytes = per_state * crate::store::CLUSTER as u64;
+                for budget in [0, 1, cluster_bytes, 2 * cluster_bytes, u64::MAX] {
+                    let (spill, spill_stats) = check(
+                        &GatheringProtocol::new(),
+                        &initial,
+                        &inv,
+                        &base.with_store(StoreKind::Spill).with_mem_budget(budget),
+                    )
+                    .unwrap();
+                    assert_eq!(spill, mem, "{path} mode={mode} budget={budget}");
+                    assert_eq!(spill_stats.store, StoreKind::Spill);
+                    assert!(spill_stats.spilled_bytes > 0, "{path} mode={mode}");
+                }
+            }
+            // Falsified cell: the counterexample inside the report must also
+            // be bit-for-bit identical (it is part of the PartialEq above,
+            // but assert the interesting piece explicitly).
+            for (path, check) in entry_points::<MutatedProtocol<GatheringProtocol>>() {
+                let mem = check(&mutant, &initial, &inv, &base).unwrap().0;
+                let lasso = mem.counterexample().expect("mutant is falsified").render();
+                let cluster_bytes =
+                    mem.state_bytes / mem.states as u64 * crate::store::CLUSTER as u64;
+                for budget in [0, 1, cluster_bytes, u64::MAX] {
+                    let options = base.with_store(StoreKind::Spill).with_mem_budget(budget);
+                    let spill = check(&mutant, &initial, &inv, &options).unwrap().0;
+                    assert_eq!(mem, spill, "{path} mode={mode} budget={budget}");
+                    assert_eq!(
+                        spill.counterexample().unwrap().render(),
+                        lasso,
+                        "{path} mode={mode} budget={budget}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks every edge alignment a canonical run recorded against the
+    /// independent oracle: replay the edge on a fresh engine and align the
+    /// successor onto the stored target with [`relabel_onto`].  Returns the
+    /// number of edges checked.
+    fn assert_recorded_alignments<P: Protocol + Clone + Send>(
+        protocol: &P,
+        initial: &Configuration,
+        invariant: &dyn Invariant,
+        mode: InterleavingMode,
+    ) -> usize {
+        let options = ExploreOptions::new(mode);
+        let mut explored =
+            explore_graph(protocol, initial, invariant, &options, Dedup::Canonical).unwrap();
+        assert_eq!(explored.dedup, Dedup::Canonical);
+        let k = explored.full_mask.count_ones() as usize;
+        let (edges, aligns) = explored.sink.finish();
+        assert_eq!(aligns.len(), edges.len(), "one alignment per edge");
+        let mut engine = Engine::with_default_options(protocol.clone(), initial.clone()).unwrap();
+        for u in 0..explored.offsets.len() - 1 {
+            let from = explored.store.get(u);
+            let first = explored.offsets[u] as usize;
+            let out = &edges[first..explored.offsets[u + 1] as usize];
+            for (index, edge) in (first..).zip(out) {
+                let align = aligns.get(index);
+                engine.restore_packed(&from);
+                let step = decode_step_with(edge.code(), &mut Vec::new());
+                engine.step(&step, &mut ()).unwrap();
+                let to = explored.store.get(edge.to as usize);
+                let oracle = relabel_onto(&engine.pack_behavior(), &to).unwrap();
+                assert_eq!(
+                    RobotPerm::from_bits(k, align),
+                    oracle,
+                    "edge {u} --{step:?}--> {}",
+                    edge.to
+                );
+            }
+        }
+        edges.len()
+    }
+
+    #[test]
+    fn recorded_alignments_match_the_relabel_oracle() {
+        let mut checked = 0;
+        for (n, k) in [(7usize, 3usize), (9, 4), (10, 4)] {
+            for initial in enumerate_rigid_configurations(n, k) {
+                for mode in MODES {
+                    checked += assert_recorded_alignments(
+                        &GatheringProtocol::new(),
+                        &initial,
+                        &GatheringInvariant::new(),
+                        mode,
+                    );
+                    checked += assert_recorded_alignments(
+                        &AlignProtocol::new(),
+                        &initial,
+                        &AlignmentInvariant::new(),
+                        mode,
+                    );
+                }
+            }
+        }
+        // The idle mutant: a falsified cell whose lasso realization reads
+        // the recorded alignments.
+        let initial = enumerate_rigid_configurations(7, 3).remove(0);
+        let mutant = MutatedProtocol::new(
+            GatheringProtocol::new(),
+            MutatedProtocol::<GatheringProtocol>::trigger_for(&initial),
+            Decision::Idle,
+        );
+        for mode in MODES {
+            checked +=
+                assert_recorded_alignments(&mutant, &initial, &GatheringInvariant::new(), mode);
+        }
+        assert!(checked > 1000, "only {checked} edges checked");
+    }
+
+    #[test]
+    fn exact_key_runs_record_no_alignments() {
+        // Safety-only quotient runs and exact-key runs store the bare 8-byte
+        // edge records.
+        let initial = enumerate_rigid_configurations(7, 3).remove(0);
+        let inv = GatheringInvariant::new();
+        let options = ExploreOptions::new(InterleavingMode::AsyncPhases);
+        for (options, dedup) in [
+            (options, Dedup::Exact),
+            (options.safety_only(), Dedup::Canonical),
+        ] {
+            let mut explored =
+                explore_graph(&GatheringProtocol::new(), &initial, &inv, &options, dedup).unwrap();
+            let (edges, aligns) = explored.sink.finish();
+            assert!(!edges.is_empty());
+            assert_eq!(aligns.len(), 0, "dedup={dedup:?}");
+        }
+    }
+
+    #[test]
+    fn quotient_entry_point_decides_liveness_beyond_sixteen_robots() {
+        // 17 idle robots on an 18-ring: a 4-bit relabeling cannot name 17
+        // robots, so the quotient entry point decides liveness on exact keys
+        // and agrees with the reference — one state, 2^17 - 1 self-loops,
+        // falsified by a fair lasso that replays.
+        let mut gaps = vec![0usize; 16];
+        gaps.push(1);
+        let initial = Configuration::from_gaps_at_origin(&gaps);
+        let inv = GatheringInvariant::new();
+        let options = ExploreOptions::new(InterleavingMode::SsyncSubsets);
+        let protocol = rr_corda::protocol::IdleProtocol;
+        let exact = check_protocol_with_stats(&protocol, &initial, &inv, &options)
             .unwrap()
             .0;
-            assert_eq!(mem, spill, "mode={mode}");
-            assert_eq!(
-                mem.counterexample().unwrap().render(),
-                spill.counterexample().unwrap().render(),
-                "mode={mode}"
-            );
-        }
+        let quotient = check_protocol_quotient_with_stats(&protocol, &initial, &inv, &options)
+            .unwrap()
+            .0;
+        assert_eq!(quotient, exact);
+        assert_eq!((exact.states, exact.edges), (1, (1 << 17) - 1));
+        let ce = quotient.counterexample().expect("idle never gathers");
+        assert_eq!(ce.kind, ViolationKind::Liveness);
+        let replay = replay_counterexample(&protocol, &initial, &inv, ce).unwrap();
+        assert!(replay.reproduced, "{}", replay.detail);
     }
 
     #[test]

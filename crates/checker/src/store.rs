@@ -2,9 +2,10 @@
 //!
 //! The explorer's BFS (`crate::explore`) touches its stored states through
 //! two narrow access patterns — *sequential windows* (the next `BATCH` node
-//! ids to expand) and *point lookups* (the liveness pass aligning quotient
-//! representatives) — and appends edges it only reads back once, for the SCC
-//! analysis.  `StateStore` and `EdgeStore` serve exactly those patterns.
+//! ids to expand) and *point lookups* (the quotient-liveness pass realizing
+//! a lasso from the root) — and appends edges it only reads back once, for
+//! the SCC analysis.  `StateStore` and `EdgeStore` serve exactly those
+//! patterns.
 //! Each takes one budget, `Option<u64>`, which the explorer resolves once
 //! from [`StoreKind`] and the memory budget:
 //!
@@ -16,8 +17,9 @@
 //!   deterministic function of the state sequence, independent of worker
 //!   count and budget.  The budget only governs the cache of encoded
 //!   clusters kept resident for window reads; edges stream to a second file
-//!   as fixed 8-byte records and are loaded back only if the liveness pass
-//!   runs (after the visited map has been dropped).
+//!   as fixed-size records (8 bytes, plus `⌈k/2⌉` where each edge also
+//!   carries its quotient alignment) and are loaded back only if the
+//!   liveness pass runs (after the visited map has been dropped).
 //! * `None` ([`StoreKind::Mem`]): nothing ever seals or flushes — states
 //!   stay in the open tail cluster, edges in the write buffer — so no file
 //!   is ever created.
@@ -219,8 +221,8 @@ impl Drop for SpillFile {
 /// Append-only storage of discovered states, addressed by node id in
 /// discovery order.  The explorer reads states back in two patterns only:
 /// contiguous [`window`](StateStore::window)s in ascending id order (the
-/// BFS), and random [`get`](StateStore::get)s (the quotient-liveness
-/// alignment) — both after all pushes the ids in question, never
+/// BFS), and point [`get`](StateStore::get)s (the quotient-liveness
+/// lasso realization) — both after all pushes the ids in question, never
 /// concurrently with a push.
 ///
 /// States accumulate in an open tail of up to [`CLUSTER`] states.  Under a
@@ -243,10 +245,6 @@ pub(crate) struct StateStore {
     /// Encoded sealed clusters still resident, by cluster index.
     cache: BTreeMap<usize, Vec<u8>>,
     cache_bytes: u64,
-    /// One decoded cluster for random access (the quotient-liveness pass
-    /// probes states of one SCC, which BFS discovery makes mostly
-    /// contiguous).
-    decoded: Option<(usize, Vec<PackedState>)>,
 }
 
 impl StateStore {
@@ -259,7 +257,6 @@ impl StateStore {
             spans: Vec::new(),
             cache: BTreeMap::new(),
             cache_bytes: 0,
-            decoded: None,
         }
     }
 
@@ -329,14 +326,6 @@ impl StateStore {
         self.file.read_at(offset, len as usize)
     }
 
-    fn cluster_states(&mut self, index: usize) -> &[PackedState] {
-        if self.decoded.as_ref().map(|(i, _)| *i) != Some(index) {
-            let bytes = self.cluster_bytes(index);
-            self.decoded = Some((index, Self::decode_cluster(&bytes, CLUSTER)));
-        }
-        &self.decoded.as_ref().expect("decoded above").1
-    }
-
     /// Appends a state; its id is the previous [`len`](StateStore::len).
     pub(crate) fn push(&mut self, state: PackedState) {
         self.payload += 8 * state.words().len() as u64;
@@ -370,7 +359,8 @@ impl StateStore {
         if id >= tail_base {
             return self.tail[id - tail_base].clone();
         }
-        self.cluster_states(id / CLUSTER)[id % CLUSTER].clone()
+        let bytes = self.cluster_bytes(id / CLUSTER);
+        Self::decode_cluster(&bytes, CLUSTER).swap_remove(id % CLUSTER)
     }
 
     /// The states `start..end`, in id order.
@@ -411,77 +401,143 @@ impl StateStore {
     }
 }
 
-/// One edge of the explored graph, CSR-packed: 9 bytes in RAM, 8 on disk.
+/// One edge of the explored graph, CSR-packed into 8 bytes: the target,
+/// and the step code with the progress flag in bit 31 (step codes occupy
+/// at most 30 bits: a 2-bit kind and a 28-bit payload).  The edge store's
+/// record is these 8 bytes, little-endian with `to` in the low word,
+/// followed in aligned stores by the edge's alignment word — see
+/// [`EdgeStore::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Edge {
     pub(crate) to: u32,
-    pub(crate) code: u32,
-    pub(crate) progress: bool,
+    label: u32,
 }
 
-/// On-disk record: `to` in the low word, `code | progress << 31` in the
-/// high word.  Step codes occupy at most 30 bits (2-bit kind + 28-bit
-/// payload), leaving bit 31 free for the progress flag.
-fn encode_edge(edge: &Edge) -> [u8; 8] {
-    assert!(edge.code < 1 << 31, "step code overflows the edge record");
-    let word = u64::from(edge.to) | u64::from(edge.code | u32::from(edge.progress) << 31) << 32;
-    word.to_le_bytes()
-}
+impl Edge {
+    pub(crate) fn new(to: u32, code: u32, progress: bool) -> Self {
+        assert!(code < 1 << 31, "step code overflows the edge record");
+        Edge {
+            to,
+            label: code | u32::from(progress) << 31,
+        }
+    }
 
-fn decode_edge(bytes: [u8; 8]) -> Edge {
-    let word = u64::from_le_bytes(bytes);
-    let hi = (word >> 32) as u32;
-    Edge {
-        to: word as u32,
-        code: hi & !(1 << 31),
-        progress: hi >> 31 != 0,
+    pub(crate) fn code(&self) -> u32 {
+        self.label & !(1 << 31)
+    }
+
+    pub(crate) fn progress(&self) -> bool {
+        self.label >> 31 != 0
     }
 }
 
-/// Append-only edge storage: fixed 8-byte records in a write buffer.  Under
-/// a budget the buffer is flushed to a spill file whenever it fills (and at
-/// [`finish`](EdgeStore::finish)); without one it simply grows.  Edges are
-/// written once during the BFS and read back at most once, all together,
-/// for the liveness analysis — after the caller has dropped its visited
-/// map, so the loaded vector replaces rather than adds to the peak
-/// footprint.
+/// Per-edge alignment words, each kept as its low `width` bytes: the packed
+/// [`rr_core::relabel::RobotPerm`] image word of `k` robots (opaque here)
+/// needs `⌈k/2⌉`.  Width 0 holds nothing (runs that record no alignment).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Aligns {
+    width: usize,
+    bytes: Vec<u8>,
+}
+
+impl Aligns {
+    /// The word of edge `i`.
+    pub(crate) fn get(&self, i: usize) -> u64 {
+        let mut word = [0u8; 8];
+        word[..self.width].copy_from_slice(&self.bytes[i * self.width..(i + 1) * self.width]);
+        u64::from_le_bytes(word)
+    }
+
+    /// Number of words held.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    fn push(&mut self, word: u64) {
+        debug_assert!(
+            self.width == 8 || word >> (8 * self.width) == 0,
+            "alignment word too wide"
+        );
+        self.bytes
+            .extend_from_slice(&word.to_le_bytes()[..self.width]);
+    }
+}
+
+/// Append-only edge storage: edges (and their alignment words) are
+/// buffered in memory and, under a budget, encoded and flushed to a spill
+/// file whenever [`EDGE_BUF`] accumulate (and at
+/// [`finish`](EdgeStore::finish)); without one the buffers simply grow and
+/// are handed back as they are.  Edges are written once during the BFS and
+/// read back at most once, all together, for the liveness analysis — after
+/// the caller has dropped its visited map, so the loaded buffers replace
+/// rather than add to the peak footprint.
 pub(crate) struct EdgeStore {
     file: SpillFile,
     /// Whether full buffers flush to the file (any budget: the edge stream
     /// has no resident cache to bound).
     spill: bool,
-    buf: Vec<u8>,
+    /// Edges not yet flushed, and their alignment words.
+    edges: Vec<Edge>,
+    aligns: Aligns,
 }
 
-/// Write-buffer size for spilled edges.
-const EDGE_BUF: usize = 1 << 16;
+/// Records buffered per flush of a budgeted edge store.
+const EDGE_BUF: usize = 1 << 13;
 
 impl EdgeStore {
-    pub(crate) fn new(budget: Option<u64>) -> Self {
+    /// An edge store under `budget` (`None` never spills) whose edges each
+    /// carry an alignment word of `align_width` bytes (0: none).  A record
+    /// is the 8-byte edge, little-endian with `to` in the low word,
+    /// followed by the alignment word's low `align_width` bytes.
+    pub(crate) fn new(budget: Option<u64>, align_width: usize) -> Self {
+        assert!(align_width <= 8, "alignment words are u64");
         EdgeStore {
             file: SpillFile::new("edges"),
             spill: budget.is_some(),
-            buf: Vec::with_capacity(EDGE_BUF),
+            edges: Vec::new(),
+            aligns: Aligns {
+                width: align_width,
+                bytes: Vec::new(),
+            },
         }
     }
 
-    /// Appends an edge.
-    pub(crate) fn push(&mut self, edge: Edge) {
-        self.buf.extend_from_slice(&encode_edge(&edge));
-        if self.spill && self.buf.len() >= EDGE_BUF {
+    fn record_bytes(&self) -> u64 {
+        8 + self.aligns.width as u64
+    }
+
+    /// Appends an edge; `align` must be present exactly when the store
+    /// carries alignment words.
+    pub(crate) fn push(&mut self, edge: Edge, align: Option<u64>) {
+        assert_eq!(align.is_some(), self.aligns.width > 0, "edge record layout");
+        self.edges.push(edge);
+        if let Some(align) = align {
+            self.aligns.push(align);
+        }
+        if self.spill && self.edges.len() >= EDGE_BUF {
             self.flush();
         }
     }
 
     fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.file.append(&self.buf);
-            self.buf.clear();
+        if self.edges.is_empty() {
+            return;
         }
+        let width = self.aligns.width;
+        let mut bytes = Vec::with_capacity(self.edges.len() * self.record_bytes() as usize);
+        for (i, edge) in self.edges.iter().enumerate() {
+            let word = u64::from(edge.to) | u64::from(edge.label) << 32;
+            bytes.extend_from_slice(&word.to_le_bytes());
+            bytes.extend_from_slice(&self.aligns.bytes[i * width..(i + 1) * width]);
+        }
+        self.file.append(&bytes);
+        self.edges.clear();
+        self.aligns.bytes.clear();
     }
 
     /// Number of edges appended.
     pub(crate) fn len(&self) -> u64 {
-        (self.file.written() + self.buf.len() as u64) / 8
+        self.file.written() / self.record_bytes() + self.edges.len() as u64
     }
 
     /// Bytes bound for the spill file, buffered ones included (a check that
@@ -489,24 +545,34 @@ impl EdgeStore {
     /// without a budget.
     pub(crate) fn spilled_bytes(&self) -> u64 {
         if self.spill {
-            8 * self.len()
+            self.record_bytes() * self.len()
         } else {
             0
         }
     }
 
-    /// Loads every edge back, in append order, consuming the buffers.
-    pub(crate) fn finish(&mut self) -> Vec<Edge> {
-        let bytes = if self.spill {
+    /// Loads every edge back, in append order, with its alignment word,
+    /// consuming the buffers.
+    pub(crate) fn finish(&mut self) -> (Vec<Edge>, Aligns) {
+        let width = self.aligns.width;
+        if self.spill {
             self.flush();
-            self.file.read_at(0, self.file.written() as usize)
-        } else {
-            std::mem::take(&mut self.buf)
+            let bytes = self.file.read_at(0, self.file.written() as usize);
+            for record in bytes.chunks_exact(self.record_bytes() as usize) {
+                let (edge, align) = record.split_at(8);
+                let word = u64::from_le_bytes(edge.try_into().expect("8-byte edge"));
+                self.edges.push(Edge {
+                    to: word as u32,
+                    label: (word >> 32) as u32,
+                });
+                self.aligns.bytes.extend_from_slice(align);
+            }
+        }
+        let aligns = Aligns {
+            width,
+            bytes: std::mem::take(&mut self.aligns.bytes),
         };
-        bytes
-            .chunks_exact(8)
-            .map(|chunk| decode_edge(chunk.try_into().expect("8-byte record")))
-            .collect()
+        (std::mem::take(&mut self.edges), aligns)
     }
 }
 
@@ -693,33 +759,56 @@ mod tests {
     #[test]
     fn edge_sinks_round_trip_and_agree() {
         let edges: Vec<Edge> = (0..10_000u32)
-            .map(|i| Edge {
-                to: i.wrapping_mul(2654435761),
-                code: (i * 7) & ((1 << 30) - 1),
-                progress: i % 3 == 0,
+            .map(|i| {
+                Edge::new(
+                    i.wrapping_mul(2654435761),
+                    (i * 7) & ((1 << 30) - 1),
+                    i % 3 == 0,
+                )
             })
             .collect();
-        let mut mem = EdgeStore::new(None);
-        let mut spill = EdgeStore::new(Some(0));
-        for e in &edges {
-            mem.push(Edge { ..*e });
-            spill.push(Edge { ..*e });
+        // Alignment words at the widths the checker uses (⌈k/2⌉ bytes for
+        // k robots), up to the full word of 16 robots.
+        for width in [0usize, 1, 3, 8] {
+            let mask = if width == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (8 * width)) - 1
+            };
+            let words: Vec<u64> = (0..edges.len() as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask)
+                .collect();
+            let mut mem = EdgeStore::new(None, width);
+            let mut spill = EdgeStore::new(Some(0), width);
+            for (&e, &word) in edges.iter().zip(&words) {
+                let align = (width > 0).then_some(word);
+                mem.push(e, align);
+                spill.push(e, align);
+            }
+            let record = 8 + width as u64;
+            assert_eq!(mem.len(), edges.len() as u64);
+            assert_eq!(spill.len(), edges.len() as u64);
+            assert_eq!(mem.spilled_bytes(), 0);
+            assert_eq!(spill.spilled_bytes(), record * edges.len() as u64);
+            let (mem_edges, mem_aligns) = mem.finish();
+            let (spill_edges, spill_aligns) = spill.finish();
+            assert_eq!(spill.file.written(), record * edges.len() as u64);
+            assert_eq!(mem_edges, edges, "width={width}");
+            assert_eq!(spill_edges, edges, "width={width}");
+            assert_eq!(mem_aligns, spill_aligns, "width={width}");
+            if width == 0 {
+                assert_eq!(mem_aligns.len(), 0);
+            } else {
+                assert_eq!(mem_aligns.len(), edges.len());
+                for (i, &word) in words.iter().enumerate() {
+                    assert_eq!(mem_aligns.get(i), word, "width={width} edge {i}");
+                }
+            }
         }
-        assert_eq!(mem.len(), spill.len());
-        assert_eq!(mem.spilled_bytes(), 0);
-        assert!(spill.spilled_bytes() >= 8 * edges.len() as u64);
-        let a = mem.finish();
-        let b = spill.finish();
-        assert_eq!(a.len(), edges.len());
-        for ((x, y), want) in a.iter().zip(&b).zip(&edges) {
-            assert_eq!(
-                (x.to, x.code, x.progress),
-                (want.to, want.code, want.progress)
-            );
-            assert_eq!(
-                (y.to, y.code, y.progress),
-                (want.to, want.code, want.progress)
-            );
-        }
+        let edge = Edge::new(7, (1 << 30) - 1, true);
+        assert_eq!(
+            (edge.to, edge.code(), edge.progress()),
+            (7, (1 << 30) - 1, true)
+        );
     }
 }

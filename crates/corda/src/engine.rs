@@ -853,6 +853,30 @@ impl<P: Protocol> Engine<P> {
         )
     }
 
+    /// [`Engine::canonical_sig`] plus the robots' canonical rank, from the
+    /// same canonical-orientation pass (no second Booth scan): robot `i`'s
+    /// rank under the (canonical node index, canonical phase, robot id)
+    /// order, packed 4 bits per robot at bits `4i..4i + 4`.  Pairing equal
+    /// ranks of two class-equal states aligns their robots exactly as
+    /// `rr_core::relabel::relabel_onto` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine has more than
+    /// [`MAX_RANKED_ROBOTS`](crate::packed::MAX_RANKED_ROBOTS) robots, or
+    /// under the bounds of [`Engine::canonical_sig`].
+    #[must_use]
+    pub fn canonical_sig_and_rank(&self) -> (crate::packed::StateSig, u64) {
+        let n = self.ring.len();
+        packed::canonical_sig_and_rank_from(
+            n,
+            self.robots.len(),
+            self.robots
+                .iter()
+                .map(|r| (r.node, packed::phase_code(n, r.node, r.phase))),
+        )
+    }
+
     /// Rewinds the engine to a state previously packed with
     /// [`EngineState::pack`] / [`Engine::pack_state`], reusing the
     /// configuration and robot storage.  The restored state is byte-identical

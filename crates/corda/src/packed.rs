@@ -655,12 +655,77 @@ pub(crate) fn canonical_sig_from(
     robots: impl Iterator<Item = (usize, u64)>,
 ) -> StateSig {
     let (word, transform) = canonical_choice(n, k, robots);
+    sig_of_word(n, &word, transform)
+}
+
+/// Packs the winning orientation's word, read from `transform.start`, four
+/// nodes per `u64`.
+fn sig_of_word(n: usize, word: &[u16; MAX_CANONICAL_N], transform: CanonicalTransform) -> StateSig {
     let wrap = |t: usize| if t >= n { t - n } else { t };
     let mut sig = [0u64; SIG_WORDS];
     for t in 0..n {
         sig[t / 4] |= u64::from(word[wrap(transform.start + t)]) << (16 * (t % 4));
     }
     sig
+}
+
+/// Largest robot count whose canonical rank fits one `u64` at 4 bits per
+/// robot.
+pub const MAX_RANKED_ROBOTS: usize = 16;
+
+/// [`canonical_sig_from`] plus the robots' **canonical rank**, from one
+/// [`canonical_choice`] pass: robot `i`'s rank under the (canonical node
+/// index, canonical phase, robot id) order, packed 4 bits per robot (bits
+/// `4i..4i + 4`).
+///
+/// Two class-equal states rank their robots onto the same (index, phase)
+/// sequence, so pairing equal ranks aligns their robots — the alignment the
+/// checker's quotient-liveness pass records on every quotient edge.
+pub(crate) fn canonical_sig_and_rank_from(
+    n: usize,
+    k: usize,
+    robots: impl Iterator<Item = (usize, u64)>,
+) -> (StateSig, u64) {
+    assert!(
+        k <= MAX_RANKED_ROBOTS,
+        "canonical ranks support k ≤ {MAX_RANKED_ROBOTS}"
+    );
+    // Compact cells (`n ≤ 24` nodes, 2-bit phases): the stream is read once
+    // and replayed from the stack for both passes.
+    let mut cells = [(0u8, 0u8); MAX_RANKED_ROBOTS];
+    for (slot, (node, phase)) in cells.iter_mut().zip(robots.take(k)) {
+        *slot = (node as u8, phase as u8);
+    }
+    let cells = &cells[..k];
+    let (word, transform) = canonical_choice(
+        n,
+        k,
+        cells
+            .iter()
+            .map(|&(node, phase)| (usize::from(node), u64::from(phase))),
+    );
+    // A robot's key is its canonical (index, phase) cell, then its id.  Keys
+    // are distinct, so its rank is the number of smaller keys: each pair
+    // adds one to the larger key's count.
+    let mut keys = [0u16; MAX_RANKED_ROBOTS];
+    for (id, (key, &(node, phase))) in keys.iter_mut().zip(cells).enumerate() {
+        let cell = 4 * transform.canonical_index(n, usize::from(node))
+            + transform.canonical_phase(u64::from(phase)) as usize;
+        *key = (cell << 4 | id) as u16;
+    }
+    let mut below = [0u8; MAX_RANKED_ROBOTS];
+    for i in 0..k {
+        for j in i + 1..k {
+            let i_first = u8::from(keys[i] < keys[j]);
+            below[j] += i_first;
+            below[i] += 1 - i_first;
+        }
+    }
+    let mut rank = 0u64;
+    for (id, &b) in below[..k].iter().enumerate() {
+        rank |= u64::from(b) << (4 * id);
+    }
+    (sig_of_word(n, &word, transform), rank)
 }
 
 /// The dihedral transform a state's canonical signature was minimized with:
@@ -683,19 +748,27 @@ impl CanonicalTransform {
     /// Canonical position of ring node `node` on a ring of `n` nodes.
     #[must_use]
     pub fn canonical_index(&self, n: usize, node: usize) -> usize {
-        let v = if self.reflect { (n - node) % n } else { node };
-        (v + n - self.start) % n
+        debug_assert!(node < n && self.start < n);
+        // Wraparound by conditional subtraction (no division; the checker
+        // calls this once per robot per discovered edge): `v ∈ 0..=n`, so
+        // the shifted index lies in `1..=2n`.
+        let v = if self.reflect { n - node } else { node };
+        let mut index = v + n - self.start;
+        if index >= n {
+            index -= n;
+        }
+        if index >= n {
+            index -= n;
+        }
+        index
     }
 
     /// Canonical form of a 2-bit phase code: reflections swap the cw/ccw
     /// pending directions, rotations leave phases alone.
     #[must_use]
     pub fn canonical_phase(&self, phase: u64) -> u64 {
-        match (self.reflect, phase) {
-            (true, PHASE_MOVE_CW) => PHASE_MOVE_CCW,
-            (true, PHASE_MOVE_CCW) => PHASE_MOVE_CW,
-            (_, p) => p,
-        }
+        // The two move codes differ in bit 0 only and alone have bit 1 set.
+        phase ^ (phase >> 1 & u64::from(self.reflect))
     }
 }
 
@@ -876,6 +949,43 @@ mod tests {
                 rebuilt[t / 4] |= word << (16 * (t % 4));
             }
             assert_eq!(rebuilt, sig, "n={n} cells {cells:?}");
+        }
+    }
+
+    #[test]
+    fn canonical_rank_sorts_robots_by_canonical_cell_then_id() {
+        let cases: [(usize, Vec<(usize, u64)>); 3] = [
+            (6, vec![(1, PHASE_MOVE_CW), (0, PHASE_READY)]),
+            (
+                7,
+                vec![
+                    (3, PHASE_READY),
+                    (2, PHASE_MOVE_CCW),
+                    (3, PHASE_IDLE),
+                    (3, PHASE_READY),
+                ],
+            ),
+            (
+                5,
+                vec![(4, PHASE_READY), (0, PHASE_MOVE_CW), (1, PHASE_MOVE_CW)],
+            ),
+        ];
+        for (n, cells) in cases {
+            let k = cells.len();
+            let (sig, rank) = canonical_sig_and_rank_from(n, k, cells.iter().copied());
+            assert_eq!(sig, canonical_sig_from(n, k, cells.iter().copied()));
+            let (_, t) = canonical_choice(n, k, cells.iter().copied());
+            let mut order: Vec<(usize, u64, usize)> = cells
+                .iter()
+                .enumerate()
+                .map(|(id, &(node, phase))| {
+                    (t.canonical_index(n, node), t.canonical_phase(phase), id)
+                })
+                .collect();
+            order.sort_unstable();
+            for (r, &(_, _, id)) in order.iter().enumerate() {
+                assert_eq!((rank >> (4 * id)) & 0xF, r as u64, "n={n} cells {cells:?}");
+            }
         }
     }
 

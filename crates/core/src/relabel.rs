@@ -10,7 +10,11 @@
 //! mapped back through it.  [`RobotPerm`] is that bookkeeping: a permutation
 //! of robot ids small enough to live in one `u64`, and
 //! [`relabel_onto`] computes the *deterministic* alignment between two
-//! class-equal states that the checker threads along quotient edges.
+//! class-equal states that the checker threads along quotient edges.  The
+//! checker records that alignment on every quotient edge at expansion, from
+//! the engine's canonical ranks
+//! ([`rr_corda::Engine::canonical_sig_and_rank`]); `relabel_onto` is the
+//! independent oracle its tests compare the recorded alignments against.
 //!
 //! Determinism matters as much as correctness here: the alignment must be a
 //! pure function of the two packed states' bits (never of discovery order or
@@ -26,9 +30,10 @@ use rr_corda::packed::{PHASE_MOVE_CCW, PHASE_MOVE_CW};
 use rr_corda::PackedState;
 
 /// Largest robot count a [`RobotPerm`] supports: 4 bits per image in one
-/// `u64`.  The exhaustive checker asserts `k ≤ 16` before entering the
-/// quotient-liveness pass (its grids stop far below that anyway).
-pub const MAX_PERM_ROBOTS: usize = 16;
+/// `u64`, the width of the engine's canonical ranks.  The exhaustive checker
+/// decides liveness on exact keys above it (its grids stop far below that
+/// anyway).
+pub const MAX_PERM_ROBOTS: usize = rr_corda::packed::MAX_RANKED_ROBOTS;
 
 /// A permutation of robot ids `0..k`, packed 4 bits per image.
 ///
@@ -89,6 +94,32 @@ impl RobotPerm {
         }
         perm.bits = bits;
         perm
+    }
+
+    /// Wraps a packed image word: robot `i` maps to bits `4i..4i + 4` of
+    /// `bits` — the layout of [`RobotPerm::bits`] and of the engine's
+    /// canonical ranks ([`rr_corda::Engine::canonical_sig_and_rank`]).  The
+    /// caller vouches that the word is a permutation of `0..k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >` [`MAX_PERM_ROBOTS`].
+    #[must_use]
+    pub fn from_bits(k: usize, bits: u64) -> Self {
+        assert!(k <= MAX_PERM_ROBOTS, "RobotPerm supports k ≤ 16");
+        let used = if k == MAX_PERM_ROBOTS {
+            u64::MAX
+        } else {
+            (1u64 << (4 * k)) - 1
+        };
+        debug_assert_eq!(bits & !used, 0, "image word wider than k robots");
+        RobotPerm { k: k as u8, bits }
+    }
+
+    /// The packed image word (see [`RobotPerm::from_bits`]).
+    #[must_use]
+    pub fn bits(&self) -> u64 {
+        self.bits
     }
 
     /// Number of robots the permutation acts on.
