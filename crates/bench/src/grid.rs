@@ -39,7 +39,7 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use rr_corda::SchedulerKind;
 use rr_core::driver::TaskTargets;
@@ -564,13 +564,14 @@ fn empty_records_for(spec: &GridSpec) -> GridRecords {
 ///
 /// # Errors
 ///
-/// Propagates ledger/cache I/O errors.
+/// Propagates ledger/cache I/O errors.  A failed ledger append stops the
+/// run from starting further cells and is returned here; the ledger keeps
+/// its durable prefix, so a later run resumes from it.
 ///
 /// # Panics
 ///
 /// Panics when the grid declares an instance no rigid configuration exists
-/// for (a spec-validation escape, not a runtime condition), or when a
-/// ledger append fails inside a worker thread.
+/// for (a spec-validation escape, not a runtime condition).
 pub fn execute_grid(spec: &GridSpec, opts: &ExecOptions<'_>) -> io::Result<GridRun> {
     let cells_total = spec.cells();
     let mode = opts.mode.unwrap_or(ExecMode::Sequential);
@@ -649,11 +650,7 @@ pub fn execute_grid(spec: &GridSpec, opts: &ExecOptions<'_>) -> io::Result<GridR
                     (Ledger::create(ledger_path, &header)?, 0)
                 }
             };
-            let shared = Mutex::new(ledger);
-            let records = run_cells(spec, mode, skip, Some(&shared));
-            let mut ledger = shared.into_inner().expect("ledger lock");
-            ledger.finish()?;
-            let failures = ledger.failures();
+            let (records, failures) = run_into_ledger(spec, mode, ledger, skip)?;
             if let Some(cache) = opts.cache {
                 cache.publish(spec.cache_key(), ledger_path)?;
             }
@@ -669,7 +666,7 @@ pub fn execute_grid(spec: &GridSpec, opts: &ExecOptions<'_>) -> io::Result<GridR
             })
         }
         None => {
-            let records = run_cells(spec, mode, 0, None);
+            let records = run_cells(spec, mode, 0, None)?;
             let failures = match &records {
                 GridRecords::Sweep(r) => r.iter().filter(|r| !r.ok).count() as u64,
                 GridRecords::Align(r) => r.iter().filter(|r| !r.ok).count() as u64,
@@ -688,23 +685,42 @@ pub fn execute_grid(spec: &GridSpec, opts: &ExecOptions<'_>) -> io::Result<GridR
     }
 }
 
+/// Runs cells `skip..` of the grid into `ledger` and writes its completion
+/// footer, returning the executed records and the ledger's failure count.
+fn run_into_ledger(
+    spec: &GridSpec,
+    mode: ExecMode,
+    ledger: Ledger,
+    skip: usize,
+) -> io::Result<(GridRecords, u64)> {
+    let shared = Mutex::new(ledger);
+    let records = run_cells(spec, mode, skip, Some(&shared))?;
+    let mut ledger = shared.into_inner().expect("ledger lock");
+    ledger.finish()?;
+    Ok((records, ledger.failures()))
+}
+
 /// Runs cells `skip..` of the grid, streaming records into `ledger` (when
-/// present) in cell order.
+/// present) in cell order.  The first append error stops the run: no
+/// further cell starts, and the error is returned.
 fn run_cells(
     spec: &GridSpec,
     mode: ExecMode,
     skip: usize,
     ledger: Option<&Mutex<Ledger>>,
-) -> GridRecords {
+) -> io::Result<GridRecords> {
+    let first_error: OnceLock<io::Error> = OnceLock::new();
+    let halted = || first_error.get().is_some();
     let append = |cell: usize, line_of: &dyn Fn() -> String| {
         if let Some(shared) = ledger {
-            let mut guard = shared.lock().expect("ledger lock");
-            guard
-                .append_line(cell, line_of())
-                .expect("appending to the sweep ledger");
+            let line = line_of();
+            let appended = shared.lock().expect("ledger lock").append_line(cell, line);
+            if let Err(e) = appended {
+                let _ = first_error.set(e);
+            }
         }
     };
-    match &spec.kind {
+    let records = match &spec.kind {
         GridKind::Sweep { .. } => {
             let sweep = spec.to_sweep();
             let sink = |cell: usize, record: &RunRecord| {
@@ -712,7 +728,11 @@ fn run_cells(
                     serde_json::to_string(record).expect("serializing a RunRecord")
                 });
             };
-            let options = RunOptions::new().mode(mode).resume_at(skip).progress(&sink);
+            let options = RunOptions::new()
+                .mode(mode)
+                .resume_at(skip)
+                .progress(&sink)
+                .halt_when(&halted);
             GridRecords::Sweep(sweep.run_with(&options))
         }
         GridKind::Align { sample_starts } => {
@@ -725,14 +745,21 @@ fn run_cells(
                 .skip(skip)
                 .collect();
             let records = grid_map(cells, mode, |(cell, (n, k))| {
+                if halted() {
+                    return None;
+                }
                 let record = run_align_cell(&spec.experiment, n, k, sample_starts);
                 append(cell, &|| {
                     serde_json::to_string(&record).expect("serializing an AlignRecord")
                 });
-                record
+                Some(record)
             });
-            GridRecords::Align(records)
+            GridRecords::Align(records.into_iter().flatten().collect())
         }
+    };
+    match first_error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(records),
     }
 }
 
@@ -812,6 +839,32 @@ mod tests {
         quick.instances.pop();
         assert_ne!(spec.cache_key(), quick.cache_key());
         assert!(spec.job_id().starts_with("E6-"));
+    }
+
+    #[test]
+    fn a_failed_ledger_append_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("rr-grid-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let align = GridSpec {
+            experiment: "E3".into(),
+            root_seed: 1,
+            instances: vec![(8, 3), (9, 4)],
+            kind: GridKind::Align { sample_starts: 4 },
+        };
+        for spec in [sample_spec(), align] {
+            for mode in [ExecMode::Sequential, ExecMode::Sharded] {
+                let path = dir.join(format!("{}-{mode:?}.jsonl", spec.experiment));
+                Ledger::create(&path, &spec.header()).unwrap();
+                let ledger = Ledger::read_only(&path).unwrap();
+                let run = run_into_ledger(&spec, mode, ledger, 0);
+                assert!(
+                    run.is_err(),
+                    "{} {mode:?}: append error swallowed",
+                    spec.experiment
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

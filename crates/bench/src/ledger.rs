@@ -347,6 +347,22 @@ impl Ledger {
     }
 }
 
+#[cfg(test)]
+impl Ledger {
+    /// A fresh ledger over `path` opened read-only, so its first append
+    /// fails: the write-error path without a full disk.
+    pub(crate) fn read_only(path: &Path) -> io::Result<Ledger> {
+        Ok(Ledger {
+            file: File::open(path)?,
+            path: path.to_path_buf(),
+            pending: BTreeMap::new(),
+            next_cell: 0,
+            failures: 0,
+            complete: false,
+        })
+    }
+}
+
 /// Reads the complete lines appended to `path` since byte `offset`,
 /// returning them with the new durable offset — the incremental read the
 /// `rr-sweep tail` client loops on.  A torn tail is left for the next call.

@@ -3,14 +3,15 @@
 //!
 //! A [`Sweep`] declares an instance grid — `(n, k)` pairs × scheduler
 //! families × seeds — and expands it into [`BatchJob`]s for the `rr-core`
-//! batch driver.  Execution either walks the jobs sequentially or shards them
-//! over a rayon worker pool ([`ExecMode`]); each shard recycles **one**
-//! engine allocation through a [`BatchRunner`].  Every job's randomness is
-//! derived from the sweep's root seed and the job's grid coordinates alone
-//! (never from shard layout or thread identity), so **a sharded sweep and a
-//! sequential sweep with the same root seed produce byte-identical JSON
-//! records** — the property CI's bench-regression gate and the
-//! `sweep_determinism` test suite rest on.
+//! batch driver.  Execution either walks the jobs sequentially or spreads
+//! them over a rayon worker pool ([`ExecMode`]), where each worker recycles
+//! **one** engine allocation through a [`BatchRunner`] and claims the next
+//! undone cell in declaration order.  Every job's randomness is derived from
+//! the sweep's root seed and the job's grid coordinates alone (never from
+//! the worker that ran it), so **a sharded sweep and a sequential sweep with
+//! the same root seed produce byte-identical JSON records** — the property
+//! CI's bench-regression gate and the `sweep_determinism` test suite rest
+//! on.
 //!
 //! The `exp_*` binaries are thin grid declarations over this module:
 //! they parse the shared [`ExpArgs`] CLI (`--quick`, `--json <path>`,
@@ -43,17 +44,19 @@ pub fn task_slug(task: Task) -> &'static str {
 pub enum ExecMode {
     /// One worker, one engine, jobs in declaration order.
     Sequential,
-    /// Jobs sharded over the rayon pool (one recycled engine per shard);
-    /// results are reassembled in declaration order.
+    /// Jobs spread over the rayon pool: each worker keeps one recycled
+    /// engine and claims cells one at a time in declaration order; results
+    /// are reassembled in declaration order.
     Sharded,
 }
 
 /// A per-record progress callback: `(cell_index, record)`.
 ///
 /// Under [`ExecMode::Sharded`] the sink is invoked from worker threads and
-/// cell indices arrive out of order (within one shard they are ascending);
-/// sinks that need declaration order reorder on the index — which is exactly
-/// what [`Ledger::append`](crate::ledger::Ledger::append) does.
+/// cell indices arrive out of order, though never more than one cell per
+/// other worker behind; sinks that need declaration order reorder on the
+/// index — which is exactly what
+/// [`Ledger::append`](crate::ledger::Ledger::append) does.
 pub type ProgressSink<'a> = &'a (dyn Fn(usize, &RunRecord) + Sync);
 
 /// Options for one [`Sweep::run_with`] call — the single run entry point
@@ -70,6 +73,7 @@ pub struct RunOptions<'a> {
     step_path: Option<StepPath>,
     progress: Option<ProgressSink<'a>>,
     skip_cells: usize,
+    halt: Option<&'a (dyn Fn() -> bool + Sync)>,
 }
 
 impl<'a> RunOptions<'a> {
@@ -119,6 +123,14 @@ impl<'a> RunOptions<'a> {
     #[must_use]
     pub fn resume_at(mut self, cells: usize) -> Self {
         self.skip_cells = cells;
+        self
+    }
+
+    /// Stops claiming cells once `halted()` returns true; the run's records
+    /// are then discarded (an empty vector is returned).  This is how a
+    /// grid run stops at its first ledger write error.
+    pub(crate) fn halt_when(mut self, halted: &'a (dyn Fn() -> bool + Sync)) -> Self {
+        self.halt = Some(halted);
         self
     }
 
@@ -580,46 +592,30 @@ impl Sweep {
         let skip = options.skip_cells;
         let all_jobs = self.jobs();
         let jobs = &all_jobs[skip.min(all_jobs.len())..];
-        match options.exec_mode() {
+        // `None` once the halt predicate fires: the caller discards the run.
+        let run_cell = |runner: &mut BatchRunner, (i, job): (usize, &BatchJob)| {
+            if options.halt.is_some_and(|halted| halted()) {
+                return None;
+            }
+            let record = self.run_job(runner, job);
+            report(skip + i, &record);
+            Some(record)
+        };
+        let records: Option<Vec<RunRecord>> = match options.exec_mode() {
             ExecMode::Sequential => {
                 let mut runner = make_runner();
                 jobs.iter()
                     .enumerate()
-                    .map(|(i, job)| {
-                        let record = self.run_job(&mut runner, job);
-                        report(skip + i, &record);
-                        record
-                    })
+                    .map(|cell| run_cell(&mut runner, cell))
                     .collect()
             }
-            ExecMode::Sharded => {
-                let workers = std::thread::available_parallelism()
-                    .map_or(4, usize::from)
-                    .min(jobs.len().max(1));
-                let shard_len = jobs.len().div_ceil(workers).max(1);
-                let shards: Vec<(usize, Vec<BatchJob>)> = jobs
-                    .chunks(shard_len)
-                    .enumerate()
-                    .map(|(s, shard)| (skip + s * shard_len, shard.to_vec()))
-                    .collect();
-                let nested: Vec<Vec<RunRecord>> = shards
-                    .into_par_iter()
-                    .map(|(base, shard)| {
-                        let mut runner = make_runner();
-                        shard
-                            .iter()
-                            .enumerate()
-                            .map(|(i, job)| {
-                                let record = self.run_job(&mut runner, job);
-                                report(base + i, &record);
-                                record
-                            })
-                            .collect()
-                    })
-                    .collect();
-                nested.into_iter().flatten().collect()
-            }
-        }
+            ExecMode::Sharded => jobs
+                .par_iter()
+                .enumerate()
+                .map_init(make_runner, run_cell)
+                .collect(),
+        };
+        records.unwrap_or_default()
     }
 
     /// The number of cells (= records) this sweep's grid expands to.

@@ -112,6 +112,41 @@ fn progress_sink_observes_every_cell() {
     }
 }
 
+/// Sharded runners claim cells one at a time in declaration order, so when
+/// cell `i` is reported every cell below it has been claimed and at most
+/// `workers - 1` of them can still be running on the other workers.  This
+/// bounds what the ledger's reorder buffer holds; contiguous per-worker
+/// shards of an ascending-`n` grid break it.
+#[test]
+fn sharded_reports_trail_by_at_most_one_cell_per_other_worker() {
+    use std::sync::Mutex;
+    let sweep = Sweep {
+        seeds_per_cell: 8,
+        ..gathering_sweep(17)
+    };
+    let cells = sweep.num_cells();
+    let workers = std::thread::available_parallelism()
+        .map_or(4, usize::from)
+        .min(cells);
+    // (reported flags, worst (lag, cell) seen at any report)
+    let state = Mutex::new((vec![false; cells], (0usize, 0usize)));
+    let sink = |i: usize, _: &RunRecord| {
+        let mut state = state.lock().unwrap();
+        let (reported, worst) = &mut *state;
+        reported[i] = true;
+        let lag = reported[..i].iter().filter(|&&done| !done).count();
+        *worst = (*worst).max((lag, i));
+    };
+    let records = sweep.run_with(&RunOptions::new().sharded().progress(&sink));
+    assert_eq!(records.len(), cells);
+    let (reported, (lag, cell)) = state.into_inner().unwrap();
+    assert!(reported.iter().all(|&done| done));
+    assert!(
+        lag < workers,
+        "cell {cell} reported with {lag} earlier cells outstanding ({workers} workers)"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -430,8 +430,8 @@ impl BatchRunner {
 }
 
 /// Runs a whole batch sequentially on one recycled engine, one result per
-/// job, in order.  This is the batch entry point sweeps build on: shard the
-/// job list, call `run_batch` per shard, concatenate.
+/// job, in order.  Parallel sweeps instead keep one [`BatchRunner`] per
+/// worker, and each worker claims the next job in order.
 pub fn run_batch(jobs: &[BatchJob]) -> Vec<Result<BatchOutcome, TaskError>> {
     let mut runner = BatchRunner::new();
     jobs.iter().map(|job| runner.run(job)).collect()

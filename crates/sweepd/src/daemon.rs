@@ -1,8 +1,9 @@
 //! The daemon loop: claim, execute, publish — and survive `kill -9`.
 //!
 //! The daemon is deliberately boring: a single-threaded claim loop around
-//! [`execute_grid`] (cell-level parallelism lives inside the sweep's rayon
-//! shards, not here).  Durability does all the heavy lifting:
+//! [`execute_grid`] (cell-level parallelism lives inside the sweep, whose
+//! rayon workers claim cells one at a time, not here).  Durability does all
+//! the heavy lifting:
 //!
 //! * a job is **claimed** by one atomic rename, so a crash never loses the
 //!   grid file — it just leaves it in `jobs/`;
