@@ -32,6 +32,10 @@
 //!            [--workers <usize>]
 //! ```
 //!
+//! `--workers` is accepted and ignored: one check runs on one thread, and
+//! parallelism comes from running the cells side by side (`--sequential`
+//! runs them one after another).
+//!
 //! `--selftest` is the checker-of-the-checker canary: it asserts that an
 //! empty fault budget explores byte-identically to the fault-free checker,
 //! and that one crash *does* falsify plain gathering with a crash directive

@@ -7,10 +7,11 @@
 //! subsets and **all** ASYNC Look-Move phase interleavings, checks the
 //! per-task safety invariants on every edge, and decides fair liveness by
 //! SCC analysis — upgrading "verified on sampled schedules" to "proved for
-//! all schedules".  The checker runs its packed-state parallel engine
-//! (experiment E11): states are stored bit-packed, expansion is sharded over
-//! a worker pool, and the reports are byte-identical for every worker count
-//! and storage backend.
+//! all schedules".  The checker runs its packed-state engine (experiment
+//! E11): states are stored bit-packed, one check runs on one thread as a
+//! discovery-order BFS, and the reports are byte-identical for every
+//! storage backend.  Parallelism comes from cells: the grid's cells run
+//! side by side on the rayon pool.
 //!
 //! Gathering and alignment cells run on the **canonical symmetry quotient**
 //! with σ-threaded liveness (`check_protocol_quotient_with_stats`): states are
@@ -44,8 +45,9 @@
 //!                [--max-states <usize>] [--scale-bench]
 //! ```
 //!
-//! `--workers` sets the checker's per-cell worker threads (0 = one per
-//! core); `--sequential` additionally serializes the cell grid itself.
+//! `--workers` is accepted and ignored: one check runs on one thread, and
+//! parallelism comes from running the grid's cells side by side;
+//! `--sequential` runs the cells one after another instead.
 //! `--store spill` gives the checker's stores a budget: packed states go to
 //! delta-compressed clusters on disk with a resident cache bounded by
 //! `--mem-budget` (default 64MiB), and the visited map seals sorted runs
@@ -55,12 +57,13 @@
 //! which is exactly what CI's spill-smoke leg gates on.  `--only gathering:12:6` (optionally `:ssync`/`:async`) restricts the
 //! grid to one cell for targeted out-of-core runs.  `--scale-bench` switches
 //! to experiment E16: one fixed spill cell (default: the largest proved
-//! searching cell; override with `--only`) is re-explored at worker counts
-//! 1/2/4/8 (quick: 1/4) under a tight visited-map budget (default 1 MiB,
-//! override with `--mem-budget`), the run **fails unless every
-//! deterministic report field is byte-identical across the counts**, and
-//! the per-phase wall time (parallel expansion vs batch merge) is recorded
-//! per worker count.  `--selftest` checks that
+//! searching cell; override with `--only`) is re-explored once per
+//! `workers` value 1/2/4/8 (quick: 1/4) — a value the checker ignores, so
+//! the rows are repeat runs — under a tight visited-map budget (default
+//! 1 MiB, override with `--mem-budget`), the run **fails unless every
+//! deterministic report field is byte-identical across the runs**, and
+//! the sweep's wall time (expansion vs window loads and seals) is recorded
+//! per run.  `--selftest` checks that
 //! a deliberately broken protocol (one decision-table entry mutated) is
 //! *falsified* with a counterexample that replays on the engine — a canary
 //! for the checker itself.
@@ -410,7 +413,7 @@ fn selftest() -> Result<(), String> {
 /// One scale-bench row: explores every rigid initial class of `cell` on the
 /// **concrete** (exact-dedup) checker with the spill backend, accumulating
 /// the deterministic report fields into both the record and an FNV digest
-/// basis — anything worker-dependent in node ids, edge order, early stops
+/// basis — anything run-dependent in node ids, edge order, early stops
 /// or accounting would change the digest and trip the gate in `main`.
 fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usize) -> ScaleRecord {
     let started = Instant::now();
@@ -454,7 +457,7 @@ fn run_scale_cell(cell: &Cell, workers: usize, mem_budget: u64, max_states: usiz
     match result {
         Ok(()) => {
             record.report_digest = fnv1a64(FNV_OFFSET, basis.as_bytes());
-            record.ok = true; // the cross-worker gate may still clear this
+            record.ok = true; // the cross-run gate may still clear this
         }
         Err(e) => {
             eprintln!("E16 workers={workers}: {e}");
@@ -541,9 +544,10 @@ impl CellRun for ScaleCell<'_> {
     }
 }
 
-/// The E16 worker-scaling bench: one fixed spill cell re-explored per
-/// worker count, gated on every deterministic report field (via the FNV
-/// digest) being identical across the counts.
+/// The E16 scaling bench: one fixed spill cell re-explored once per
+/// `workers` value (which the checker ignores), gated on every
+/// deterministic report field (via the FNV digest) being identical across
+/// the runs.
 fn run_scale_bench(
     args: &ExpArgs,
     only: Option<&OnlyFilter>,

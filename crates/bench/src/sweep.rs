@@ -255,13 +255,12 @@ pub struct ModelCheckRecord {
     pub target_states: u64,
     /// Progress edges seen (ReachRepeatedly invariants).
     pub progress_edges: u64,
-    /// Peak resident nodes (stored packed states + buffered successors at
-    /// the search's high-water mark, sampled immediately before each
-    /// window's sequential merge), maximized over the initial classes —
-    /// the checker's memory footprint.  Deterministic.
+    /// Peak resident nodes (the stored states, which only grow), maximized
+    /// over the initial classes — the checker's memory footprint.
+    /// Deterministic.
     pub peak_resident_nodes: u64,
-    /// Peak resident packed-state payload bytes at the same sample point,
-    /// maximized over the initial classes.  Deterministic and
+    /// Peak resident logical bytes (stored packed payloads plus visited
+    /// entries), maximized over the initial classes.  Deterministic and
     /// backend-independent (the spill backend changes where the bytes live,
     /// not how many are live).
     pub peak_resident_bytes: u64,
@@ -439,7 +438,8 @@ pub struct ScaleRecord {
     pub mode: String,
     /// Storage backend ("spill" for the scaling cell).
     pub store: String,
-    /// Worker threads this row ran with.
+    /// The `--workers` value this row was run with.  The checker ignores
+    /// it (one check runs on one thread), so the rows are repeat runs.
     pub workers: usize,
     /// Resident byte budget shared by the packed-state cache and the
     /// visited-map memtables.
@@ -448,23 +448,23 @@ pub struct ScaleRecord {
     pub states: u64,
     /// Edges of the explored state graph (identical across rows).
     pub edges: u64,
-    /// Peak resident bytes — payload + buffered batch + visited entries
-    /// (identical across rows).
+    /// Peak resident bytes — stored payload + visited entries (identical
+    /// across rows).
     pub peak_resident_bytes: u64,
     /// Bytes spilled by the state store + edge sink (identical across rows).
     pub spilled_bytes: u64,
     /// Bytes the visited map sealed to disk runs (identical across rows).
     pub visited_spilled_bytes: u64,
-    /// Wall nanoseconds spent in parallel batch expansion.  Machine
+    /// Wall nanoseconds the sweep spent expanding nodes.  Machine
     /// dependent.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent in the batch merge (partition, parallel
-    /// per-shard dedup, ordering pass, commit + seal).  Machine dependent.
+    /// Wall nanoseconds the sweep spent at window boundaries (window
+    /// loads and visited-map seals).  Machine dependent.
     pub merge_nanos: u64,
     /// Exploration throughput over the row's wall time.  Machine dependent.
     pub states_per_sec: u64,
     /// FNV-1a digest over the row's deterministic report fields; the
-    /// scale-bench gate requires it to be identical across worker counts.
+    /// scale-bench gate requires it to be identical across the rows.
     pub report_digest: u64,
     /// Whether this row's digest matched the single-worker reference.
     pub ok: bool,

@@ -18,7 +18,7 @@
 //!   target/progress, whose internal edges activate *every* robot — from
 //!   which a concrete fair lasso (prefix + cycle) is extracted.
 //!
-//! # The compact, parallel exploration engine
+//! # The compact exploration engine
 //!
 //! The state graph is held in a memory-compact form: each discovered state is
 //! stored as a bit-packed [`PackedState`] plus the 64-bit key of its
@@ -29,15 +29,15 @@
 //! ([`PackedState::behavior_sig`] / [`PackedState::canonical_sig`]) sharded
 //! by hash.  Nothing in the hot loop allocates proportionally to `n`.
 //!
-//! Expansion runs **batch-parallel**: the BFS order of node ids is a sequence
-//! of contiguous index windows; each window is expanded by a pool of workers
-//! (one reusable [`Engine`] per worker, driven through
-//! [`Engine::restore_packed`] / `save_state`/`restore_state`), and the
-//! results are merged *sequentially in window order*.  Node ids, edge order,
-//! every [`ExploreReport`] field and every extracted counterexample are
-//! therefore **byte-identical for any worker count** — the same discipline
-//! the rr-sweep records already pin.  Set the worker count with
-//! [`ExploreOptions::with_workers`] (default: one per available core).
+//! The sweep is a sequential breadth-first search in **discovery order**:
+//! one reusable [`Engine`] expands node after node (driven through
+//! [`Engine::restore_packed`] / `save_state`/`restore_state`), each
+//! successor's key is probed once with `Visited::get_or_insert`, and only
+//! a state seen for the first time is packed, assigned the next node id and
+//! stored.  Node ids, edge order, every [`ExploreReport`] field and every
+//! extracted counterexample are therefore a pure function of the instance
+//! and the options.  One check runs on one thread; parallelism comes from
+//! checking independent cells side by side.
 //!
 //! Two entry points share this engine.  [`check_protocol_quotient_with_stats`]
 //! is the checker: it dedups on canonical classes
@@ -74,15 +74,15 @@ use rr_core::relabel::{RobotPerm, MAX_PERM_ROBOTS};
 use rr_ring::{Configuration, View};
 
 use crate::store::{Aligns, Edge, EdgeStore, StateStore, StoreKind, StoreStats};
-use crate::visited::{shard_of, Key, Memtable, Visited, VISITED_ENTRY_BYTES, VISITED_SHARDS};
+use crate::visited::{Key, Visited, VISITED_ENTRY_BYTES};
 
 /// Default state budget: generous for every cell of the acceptance grid, a
 /// guard rail against accidentally pointing the checker at a huge instance.
 pub const DEFAULT_MAX_STATES: usize = 4_000_000;
 
-/// Nodes expanded per merge window.  A constant (never derived from the
-/// worker count) so that the reported peak memory statistic — and the point
-/// at which a state budget trips — are identical for every worker count.
+/// Nodes per BFS window: the sweep loads at most this many stored states
+/// at a time and gives the visited map a seal point after each window, so
+/// the window size fixes the spill schedule (and `visited_spilled_bytes`).
 const BATCH: usize = 4096;
 
 /// The fault adversary's powers during one exhaustive check: how many fault
@@ -157,10 +157,6 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// Whether to run the liveness (SCC) analysis after the safety sweep.
     pub check_liveness: bool,
-    /// Expansion worker threads; `0` means one per available core.  The
-    /// verdict, the report and any counterexample are identical for every
-    /// value.
-    pub workers: usize,
     /// The fault adversary's powers (default: none — fault-free checking).
     pub faults: FaultBudget,
     /// Whether discovered states, edges and visited entries may spill to
@@ -179,14 +175,13 @@ pub const DEFAULT_MEM_BUDGET: u64 = 64 << 20;
 
 impl ExploreOptions {
     /// Full checking (safety + liveness) under the given interleavings with
-    /// the default state budget and one worker per available core.
+    /// the default state budget.
     #[must_use]
     pub fn new(interleaving: InterleavingMode) -> Self {
         ExploreOptions {
             interleaving,
             max_states: DEFAULT_MAX_STATES,
             check_liveness: true,
-            workers: 0,
             faults: FaultBudget::none(),
             store: StoreKind::Mem,
             mem_budget: DEFAULT_MEM_BUDGET,
@@ -221,16 +216,12 @@ impl ExploreOptions {
         self
     }
 
-    /// Replaces the worker count.
-    ///
-    /// Every value is well-defined and produces the identical report:
-    /// `0` resolves to one worker per available core, and any resolved
-    /// count is clamped to `1..=BATCH` (4096, the merge-window size) — a
-    /// worker beyond the window size could never receive work, and an
-    /// unclamped `usize::MAX` would try to allocate that many engines.
+    /// Does nothing: one check runs on one thread, and parallelism comes
+    /// from running independent checks (cells) side by side.  Kept so that
+    /// callers passing a worker count, such as the drivers' `--workers`
+    /// flag, still build; every value yields the same report.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -405,17 +396,17 @@ pub struct ExploreReport {
     /// Edges on which liveness progress happened
     /// ([`LivenessMode::ReachRepeatedly`]).
     pub progress_edges: u64,
-    /// Peak resident node count: stored states plus still-buffered successor
-    /// records, sampled at one consistent point — immediately before each
-    /// expansion's sequential merge — and maximized over the run.
-    /// Deterministic: independent of the worker count *and* of the storage
-    /// mode.
+    /// Peak resident node count: the stored states.  The sweep buffers no
+    /// successor beyond the one it is probing, and stored states only grow,
+    /// so the peak is the final count.  Deterministic: independent of the
+    /// storage mode.
     pub peak_resident_nodes: usize,
     /// The byte-valued analog of [`peak_resident_nodes`]: packed payload
-    /// bytes of stored states plus buffered successors at the same sample
-    /// points.  Counts state payloads, not store overhead, so the value is
-    /// identical across storage modes (the spill store's *actual* residency
-    /// is bounded by [`ExploreOptions::mem_budget`] instead).
+    /// bytes of the stored states plus the logical bytes of their visited
+    /// entries (key and node id each).  Counts logical payloads, not store
+    /// overhead, so the value is identical across storage modes (the spill
+    /// store's *actual* residency is bounded by
+    /// [`ExploreOptions::mem_budget`] instead).
     ///
     /// [`peak_resident_nodes`]: ExploreReport::peak_resident_nodes
     pub peak_resident_bytes: u64,
@@ -649,7 +640,7 @@ fn frontier_codes(mode: InterleavingMode, robots: &[RobotState], crashed: u32, o
 /// edges (one per alive robot while the crash budget lasts) followed by
 /// corrupted-Look edges (one per fresh-Look opportunity × perturbation kind
 /// while the corruption budget lasts), in a fixed order so exploration stays
-/// deterministic for every worker count.
+/// deterministic.
 fn fault_codes(
     mode: InterleavingMode,
     robots: &[RobotState],
@@ -725,8 +716,8 @@ fn realize_codes(
 // ---------------------------------------------------------------------------
 
 // The key type and the visited map itself (memtable shards + the disk-backed
-// sorted-run backend) live in `crate::visited`; this module computes keys and
-// drives the map at its sequential merge points.
+// sorted-run backend) live in `crate::visited`; this module computes keys,
+// probes each once and gives the map a seal point after every window.
 
 fn make_key(packed: &PackedState, aug_bits: u64, dedup: Dedup, fault: u32) -> Key {
     let sig = match dedup {
@@ -818,7 +809,7 @@ fn state_view(state: &EngineState, crashed: u32) -> StateView<'_> {
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine; violations found during the search are reported as
 /// [`CheckOutcome::Falsified`].
-pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
+pub fn check_protocol_quotient_with_stats<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -847,7 +838,7 @@ pub fn check_protocol_quotient_with_stats<P: Protocol + Clone + Send>(
 ///
 /// Returns `Err` only when the initial configuration is rejected by the
 /// engine.
-pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
+pub fn check_protocol_with_stats<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -861,404 +852,6 @@ pub fn check_protocol_with_stats<P: Protocol + Clone + Send>(
 // The exploration engine.
 // ---------------------------------------------------------------------------
 
-/// Everything a worker's expansion loop reads; shared immutably across the
-/// pool.
-struct ExploreCtx<'a> {
-    invariant: &'a dyn Invariant,
-    /// Template fixing the auxiliary-state variant and instance; each node's
-    /// stored 64 bits rehydrate through it.
-    aug_template: &'a AugState,
-    mode: InterleavingMode,
-    dedup: Dedup,
-    reach_mode: bool,
-    faults: FaultBudget,
-    /// Whether regular successors carry their canonical robot rank (runs
-    /// that decide liveness on the quotient record each edge's alignment).
-    record_align: bool,
-}
-
-/// One expansion worker: a reusable engine plus scratch buffers.  Workers
-/// never share mutable state; all cross-worker agreement happens in the
-/// sequential merge.
-struct Worker<P> {
-    engine: Engine<P>,
-    before: EngineState,
-    frontier: Vec<u32>,
-    ssync_buf: Vec<usize>,
-    report: rr_corda::StepReport,
-}
-
-/// What expansion learned about a successor state from its lock-free
-/// pre-probe of the visited map.
-enum SuccState {
-    /// The key was already mapped before this batch: a certain duplicate —
-    /// no state was packed, only the node id travels to the merge.
-    Known(u32),
-    /// Not yet mapped at expansion time (it may still turn out to be a
-    /// duplicate of a state discovered earlier in the same batch; the merge
-    /// re-probes).
-    /// Its key carries the successor's auxiliary bits and fault word.
-    Fresh {
-        packed: PackedState,
-        key: Key,
-        target: bool,
-    },
-}
-
-/// One successor produced by expanding a node: the step code, the edge
-/// flags, the after-state's canonical robot rank (when
-/// [`ExploreCtx::record_align`]; `0` otherwise), and the packed after-state
-/// when it looked new.
-struct Succ {
-    code: u32,
-    progress: bool,
-    rank: u64,
-    state: SuccState,
-}
-
-/// The full expansion of one node: its successors in frontier order and, if
-/// one of the frontier steps violated safety, the offending step + message
-/// (successors after it are not produced, matching the sequential
-/// short-circuit).
-struct Expansion {
-    succs: Vec<Succ>,
-    violation: Option<(u32, String)>,
-}
-
-fn expand_node<P: Protocol>(
-    worker: &mut Worker<P>,
-    packed: &PackedState,
-    node: &NodeMeta,
-    visited: &Visited,
-    ctx: &ExploreCtx<'_>,
-) -> Expansion {
-    let Worker {
-        engine,
-        before,
-        frontier,
-        ssync_buf,
-        report,
-    } = worker;
-    engine.restore_packed(packed);
-    engine.save_state_into(before);
-    let crashed = fault_crashed(node.fault);
-    let corrupts = fault_corrupts(node.fault);
-    let before_aug = ctx.aug_template.from_key_bits(node.aug_bits);
-    let before_view = state_view(before, crashed);
-    frontier_codes(ctx.mode, before.robots(), crashed, frontier);
-    fault_codes(ctx.mode, before.robots(), node.fault, &ctx.faults, frontier);
-
-    let mut succs = Vec::with_capacity(frontier.len());
-    let mut violation = None;
-    let mut engine_dirty = false;
-    for &code in frontier.iter() {
-        // Crash edges are pure adversary bookkeeping: the engine state and
-        // the auxiliary state are untouched; one more robot is removed from
-        // every later frontier.  No step runs, so no safety check — but the
-        // liveness target is re-evaluated, since exempting a robot can
-        // *create* a target ("all non-crashed robots gathered").
-        if let Some(victim) = crash_code_robot(code) {
-            let new_crashed = crashed | 1 << victim;
-            let new_fault = fault_word(new_crashed, corrupts);
-            let key = make_key(packed, node.aug_bits, ctx.dedup, new_fault);
-            let state = match visited.get(&key) {
-                Some(id) => SuccState::Known(id),
-                None => SuccState::Fresh {
-                    packed: packed.clone(),
-                    key,
-                    target: ctx.reach_mode
-                        && ctx
-                            .invariant
-                            .is_target(&before_view.with_crashed(new_crashed), &before_aug),
-                },
-            };
-            succs.push(Succ {
-                code,
-                progress: false,
-                rank: 0,
-                state,
-            });
-            continue;
-        }
-        if engine_dirty {
-            engine.restore_state(before);
-        }
-        engine_dirty = true;
-        // Corrupt edges drive their underlying step with a one-shot
-        // corruption armed at the victim's fresh-Look ordinal; the model is
-        // disarmed right after, so every other edge of this node (and every
-        // later node this worker expands) steps fault-free.
-        let corruption = corrupt_code_parts(code);
-        let mut new_fault = node.fault;
-        if let Some((_, kind, offset)) = corruption {
-            engine.arm_fault(FaultModel::CorruptLook {
-                look: engine.look_count() + offset,
-                kind,
-            });
-            new_fault = fault_word(crashed, corrupts + 1);
-        }
-        let step = decode_step_with(
-            engine_code(code).expect("non-crash codes drive a step"),
-            ssync_buf,
-        );
-        let result = engine.step_into(&step, &mut (), report);
-        recycle_step(step, ssync_buf);
-        if corruption.is_some() {
-            engine.arm_fault(FaultModel::None);
-        }
-        if let Err(e) = result {
-            violation = Some((code, e.to_string()));
-            break;
-        }
-        let mut aug = before_aug.clone();
-        let progress = ctx
-            .invariant
-            .observe_step(&mut aug, report, engine.configuration());
-        let after_view =
-            StateView::new(engine.configuration(), engine.robots()).with_crashed(crashed);
-        if let Err(message) = ctx.invariant.check_edge(&before_view, &after_view, &aug) {
-            violation = Some((code, message));
-            break;
-        }
-        let aug_bits = aug.key_bits();
-        // The key straight from the live engine (no codec round trip; equal
-        // to `make_key` of the packed state), and the rank from the same
-        // canonical pass.
-        let (sig, rank) = match ctx.dedup {
-            Dedup::Exact => (engine.behavior_sig(), 0),
-            Dedup::Canonical if ctx.record_align => engine.canonical_sig_and_rank(),
-            Dedup::Canonical => (engine.canonical_sig(), 0),
-        };
-        let key = Key {
-            sig,
-            aug: aug_bits,
-            fault: new_fault,
-        };
-        let state = match visited.get(&key) {
-            Some(id) => SuccState::Known(id),
-            None => SuccState::Fresh {
-                packed: engine.pack_behavior(),
-                key,
-                target: ctx.reach_mode && ctx.invariant.is_target(&after_view, &aug),
-            },
-        };
-        succs.push(Succ {
-            code,
-            progress,
-            rank,
-            state,
-        });
-    }
-    Expansion { succs, violation }
-}
-
-/// Expands `batch` over the worker pool: contiguous chunks, one worker and
-/// one engine per chunk, results reassembled in batch order.  With a single
-/// worker (or a single node) the expansion runs inline.
-fn expand_batch<P: Protocol + Clone + Send>(
-    pool: &mut [Worker<P>],
-    window: &[PackedState],
-    batch: &[NodeMeta],
-    visited: &Visited,
-    ctx: &ExploreCtx<'_>,
-) -> Vec<Expansion> {
-    debug_assert_eq!(window.len(), batch.len());
-    let workers = pool.len().min(batch.len()).max(1);
-    if workers <= 1 {
-        let worker = &mut pool[0];
-        return window
-            .iter()
-            .zip(batch)
-            .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
-            .collect();
-    }
-    let chunk_len = batch.len().div_ceil(workers);
-    let mut outputs: Vec<Vec<Expansion>> = (0..workers).map(|_| Vec::new()).collect();
-    rayon::scope(|scope| {
-        for (((chunk, states), worker), out) in batch
-            .chunks(chunk_len)
-            .zip(window.chunks(chunk_len))
-            .zip(pool.iter_mut())
-            .zip(outputs.iter_mut())
-        {
-            scope.spawn(move |_| {
-                *out = states
-                    .iter()
-                    .zip(chunk)
-                    .map(|(packed, node)| expand_node(worker, packed, node, visited, ctx))
-                    .collect();
-            });
-        }
-    });
-    outputs.into_iter().flatten().collect()
-}
-
-/// Resolution of one fresh-looking successor, computed by the parallel
-/// per-shard dedup pass of the merge.
-#[derive(Clone, Copy)]
-enum MergeRes {
-    /// The key was mapped before this batch: a certain duplicate with a
-    /// final node id.  (In practice expansion's lock-free pre-probe already
-    /// catches these; the re-probe keeps the merge sound on its own.)
-    Known(u32),
-    /// First seen in this batch: the ordinal into the shard's fresh list.
-    /// Every in-batch duplicate of the same key resolves to the same
-    /// ordinal; the sequential ordering pass assigns the global node id at
-    /// the ordinal's first occurrence in window order.
-    Fresh(u32),
-}
-
-/// Per-shard scratch state of one batch merge.  The merge is sharded the
-/// same way the visited map is ([`shard_of`]), so the parallel phases touch
-/// disjoint state by construction.
-#[derive(Default)]
-struct ShardScratch {
-    /// This batch's fresh candidates owned by the shard, as (expansion,
-    /// successor) indices **in window order** — the order the sequential
-    /// ordering pass consumes them back in.
-    cands: Vec<(u32, u32)>,
-    /// Resolution per candidate, aligned with `cands`.
-    res: Vec<MergeRes>,
-    /// In-batch dedup map: fresh key → ordinal.
-    pending: Memtable,
-    /// Key per fresh ordinal (what the commit pass inserts).
-    fresh_keys: Vec<Key>,
-    /// Canonical signature per fresh ordinal (the exact-dedup statistic,
-    /// computed in the parallel pass so the expensive part scales).
-    fresh_sigs: Vec<StateSig>,
-    /// Global node id per ordinal, filled by the ordering pass.
-    assigned: Vec<u32>,
-    /// Ordering-pass read cursor into `res`.
-    cursor: usize,
-}
-
-impl ShardScratch {
-    fn reset(&mut self) {
-        self.cands.clear();
-        self.res.clear();
-        self.pending.clear();
-        self.fresh_keys.clear();
-        self.fresh_sigs.clear();
-        self.assigned.clear();
-        self.cursor = 0;
-    }
-}
-
-/// Merge phase A, per shard: resolve each candidate against the visited map
-/// (frozen for the whole batch) and the shard's own pending set.  Runs in
-/// parallel across shards — all state touched is shard-local.
-fn resolve_shard(
-    sc: &mut ShardScratch,
-    expansions: &[Expansion],
-    visited: &Visited,
-    track_canon: bool,
-) {
-    for &(e, s) in &sc.cands {
-        let SuccState::Fresh { packed, key, .. } = &expansions[e as usize].succs[s as usize].state
-        else {
-            unreachable!("candidates are fresh successors");
-        };
-        // Expansion's lock-free pre-probe already consulted the (frozen)
-        // visited map, so in practice a candidate is either fresh or an
-        // in-batch duplicate; the re-probe keeps the merge sound on its own.
-        if let Some(id) = visited.get(key) {
-            sc.res.push(MergeRes::Known(id));
-            continue;
-        }
-        let res = match sc.pending.entry(*key) {
-            std::collections::hash_map::Entry::Occupied(entry) => MergeRes::Fresh(*entry.get()),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                let ordinal = sc.fresh_keys.len() as u32;
-                entry.insert(ordinal);
-                sc.fresh_keys.push(*key);
-                if track_canon {
-                    sc.fresh_sigs.push(packed.canonical_sig());
-                }
-                MergeRes::Fresh(ordinal)
-            }
-        };
-        sc.res.push(res);
-    }
-}
-
-/// Merge phase A driver: shards are dealt to the workers in contiguous
-/// groups.  Small batches run inline — the result is identical either way
-/// (each shard's work is self-contained), so the cutover is free to be a
-/// pure performance choice.
-fn resolve_batch(
-    scratch: &mut [ShardScratch],
-    expansions: &[Expansion],
-    visited: &Visited,
-    track_canon: bool,
-    workers: usize,
-) {
-    let candidates: usize = scratch.iter().map(|sc| sc.cands.len()).sum();
-    let workers = workers.clamp(1, VISITED_SHARDS);
-    if workers <= 1 || candidates <= 256 {
-        for sc in scratch.iter_mut() {
-            resolve_shard(sc, expansions, visited, track_canon);
-        }
-        return;
-    }
-    let chunk = VISITED_SHARDS.div_ceil(workers);
-    rayon::scope(|scope| {
-        for group in scratch.chunks_mut(chunk) {
-            scope.spawn(move |_| {
-                for sc in group {
-                    resolve_shard(sc, expansions, visited, track_canon);
-                }
-            });
-        }
-    });
-}
-
-/// Merge phase C driver: commit every shard's freshly assigned entries into
-/// its memtable (shard-parallel like phase A), then let the `--mem-budget`
-/// accountant seal/compact.  Skipped entirely when the BFS is stopping —
-/// the map is dropped before anything could observe the difference.
-fn commit_batch(visited: &mut Visited, scratch: &[ShardScratch], workers: usize) {
-    let commit = |map: &mut Memtable, sc: &ShardScratch| {
-        debug_assert_eq!(sc.assigned.len(), sc.fresh_keys.len(), "unassigned ordinal");
-        for (ordinal, &id) in sc.assigned.iter().enumerate() {
-            map.insert(sc.fresh_keys[ordinal], id);
-        }
-    };
-    let fresh: usize = scratch.iter().map(|sc| sc.assigned.len()).sum();
-    let workers = workers.clamp(1, VISITED_SHARDS);
-    let maps = visited.shard_maps_mut();
-    if workers <= 1 || fresh <= 256 {
-        for (map, sc) in maps.iter_mut().zip(scratch.iter()) {
-            commit(map, sc);
-        }
-    } else {
-        let chunk = VISITED_SHARDS.div_ceil(workers);
-        rayon::scope(|scope| {
-            for (map_group, sc_group) in maps.chunks_mut(chunk).zip(scratch.chunks(chunk)) {
-                scope.spawn(move |_| {
-                    for (map, sc) in map_group.iter_mut().zip(sc_group) {
-                        commit(map, sc);
-                    }
-                });
-            }
-        });
-    }
-    visited.maybe_seal();
-}
-
-/// Resolves [`ExploreOptions::workers`]: `0` means one per available core,
-/// and the result is clamped to `1..=BATCH` — a batch is never wider than
-/// [`BATCH`] nodes, so extra workers would only ever idle (and the pool
-/// allocates one engine per worker, so an unclamped huge request would try
-/// to materialize that many engines).
-fn resolve_workers(requested: usize) -> usize {
-    let resolved = if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    };
-    resolved.clamp(1, BATCH)
-}
-
 /// What the breadth-first sweep leaves for the liveness pass: the stored
 /// graph, and the report and storage stats of the sweep.  The visited map
 /// is already dropped (its spill file with it), so the liveness pass loads
@@ -1268,7 +861,7 @@ struct Explored<P> {
     offsets: Vec<u32>,
     store: StateStore,
     sink: EdgeStore,
-    /// A worker's engine: the scratch engine of the quotient lasso
+    /// The sweep's engine: the scratch engine of the quotient lasso
     /// realization.
     engine: Engine<P>,
     /// The dedup mode the sweep actually ran (the quotient falls back to
@@ -1286,7 +879,7 @@ struct Explored<P> {
 /// stats, and whether the quotient-liveness analysis overflowed its thread
 /// cap (in which case the report's outcome is not a verdict and the caller
 /// must fall back to exact exploration).
-fn explore<P: Protocol + Clone + Send>(
+fn explore<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -1321,9 +914,9 @@ fn explore<P: Protocol + Clone + Send>(
 }
 
 /// The breadth-first sweep of [`explore`]: discovers, stores and links
-/// every reachable state, checking safety on every edge, and stops at the
-/// first violation or when the state budget trips.
-fn explore_graph<P: Protocol + Clone + Send>(
+/// every reachable state in discovery order, checking safety on every edge,
+/// and stops at the first violation or when the state budget trips.
+fn explore_graph<P: Protocol + Clone>(
     protocol: &P,
     initial: &Configuration,
     invariant: &dyn Invariant,
@@ -1336,12 +929,12 @@ fn explore_graph<P: Protocol + Clone + Send>(
         "alternating view order makes behaviour depend on the look counter; \
          the state graph would not be well-defined"
     );
-    let mut root_engine = Engine::new(protocol.clone(), initial.clone(), engine_options)?;
+    let mut engine = Engine::new(protocol.clone(), initial.clone(), engine_options)?;
     // Oblivious protocols are pure functions of the snapshot: memoize the
     // Look decisions per (configuration, node) — behaviour is identical, and
     // the myriad re-Looks at shared configurations become hash probes.
-    root_engine.enable_look_memo();
-    let k = root_engine.num_robots();
+    engine.enable_look_memo();
+    let k = engine.num_robots();
     assert!(k <= 20, "exhaustive checking is for small instances");
     assert!(
         initial.n() <= MAX_CANONICAL_N,
@@ -1371,16 +964,16 @@ fn explore_graph<P: Protocol + Clone + Send>(
         _ => Dedup::Exact,
     };
     // Runs that will decide liveness on the quotient record every edge's
-    // robot alignment π as it is merged: π = R_to ∘ P_after, the stored
+    // robot alignment π as it is emitted: π = R_to ∘ P_after, the stored
     // target's rank → id table after the successor's id → rank table, both
     // read off the canonical pass that keyed the successor.
     let record_align = effective_dedup == Dedup::Canonical && options.check_liveness;
-    let workers = resolve_workers(options.workers);
 
-    let root_state = root_engine.save_state();
-    let root_packed = root_engine.pack_behavior();
+    // The node being expanded, as an engine state; the root first.
+    let mut before = engine.save_state();
+    let root_packed = engine.pack_behavior();
     let root_bits = aug_template.key_bits();
-    let root_target = reach_mode && invariant.is_target(&state_view(&root_state, 0), &aug_template);
+    let root_target = reach_mode && invariant.is_target(&state_view(&before, 0), &aug_template);
 
     // The one place the storage mode is resolved: every store takes the
     // same budget, and no budget means nothing is ever written to disk.
@@ -1390,10 +983,9 @@ fn explore_graph<P: Protocol + Clone + Send>(
     };
     let mut visited = Visited::new(spill_budget);
     let root_key = make_key(&root_packed, root_bits, effective_dedup, 0);
-    visited.insert(root_key, 0);
+    visited.get_or_insert(root_key, 0);
     // Canonical classes among the stored states (exact-dedup statistic):
-    // each signature is computed once, straight from the worker engine, when
-    // its state is first discovered.
+    // each signature is computed once, when its state is first discovered.
     let track_canon = dedup == Dedup::Exact;
     let mut canonical_classes: HashSet<StateSig, SigHashBuilder> = HashSet::default();
     if track_canon {
@@ -1403,7 +995,7 @@ fn explore_graph<P: Protocol + Clone + Send>(
     let rank_to_id = |rank: u64| RobotPerm::from_bits(k, rank).inverse();
     let mut node_rank_ids: Vec<RobotPerm> = Vec::new();
     if record_align {
-        node_rank_ids.push(rank_to_id(root_engine.canonical_sig_and_rank().1));
+        node_rank_ids.push(rank_to_id(engine.canonical_sig_and_rank().1));
     }
     let mut store = StateStore::new(spill_budget);
     // π needs 4 bits per robot.
@@ -1416,194 +1008,206 @@ fn explore_graph<P: Protocol + Clone + Send>(
         parent_code: 0,
         target: root_target,
     }];
-    let root_bytes = 8 * root_packed.words().len() as u64;
     store.push(root_packed);
     let mut offsets: Vec<u32> = vec![0];
 
     let mut progress_edges: u64 = 0;
-    let mut peak_resident = 1usize;
-    let mut peak_resident_bytes = root_bytes;
     let mut budget: Option<(usize, usize)> = None;
     let mut safety_ce: Option<Counterexample> = None;
 
-    let mut pool: Vec<Worker<P>> = (0..workers)
-        .map(|_| Worker {
-            engine: root_engine.clone(),
-            before: root_state.clone(),
-            frontier: Vec::new(),
-            ssync_buf: Vec::new(),
-            report: rr_corda::StepReport::default(),
-        })
-        .collect();
-    let ctx = ExploreCtx {
-        invariant,
-        aug_template: &aug_template,
-        mode: options.interleaving,
-        dedup: effective_dedup,
-        reach_mode,
-        faults: options.faults,
-        record_align,
-    };
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut ssync_buf: Vec<usize> = Vec::new();
+    let mut report = rr_corda::StepReport::default();
+    let mut window: Vec<PackedState> = Vec::new();
 
-    // Batch-synchronous BFS: expand the next window of nodes in parallel,
-    // then merge the batch.  The merge is itself mostly parallel — partition
-    // the fresh candidates by visited-map shard, dedup per shard in parallel
-    // (the visited map is frozen for the whole batch, so probes are
-    // lock-free), then a sequential ordering pass walks the expansions in
-    // window order assigning node ids — so node ids, edge order and early
-    // stops are exactly those of a sequential breadth-first sweep, for every
-    // worker count and backend.
+    // Discovery-order BFS: each successor's key is probed once, and a new
+    // state is assigned the next id, packed and stored on the spot, so node
+    // ids, edge order and early stops are those of the textbook sequential
+    // sweep.  The ids are walked in windows of at most `BATCH`: the store
+    // loads a window's states before it is expanded, and the visited map
+    // gets a seal point after it.  `merge_nanos` times that boundary work,
+    // `expand_nanos` everything else.
     let mut expand_nanos: u64 = 0;
     let mut merge_nanos: u64 = 0;
-    let mut scratch: Vec<ShardScratch> = (0..VISITED_SHARDS)
-        .map(|_| ShardScratch::default())
-        .collect();
     let mut next = 0usize;
-    'bfs: while next < meta.len() {
-        let batch_end = meta.len().min(next + BATCH);
+    while next < meta.len() {
+        let load_start = Instant::now();
+        let window_end = meta.len().min(next + BATCH);
+        store.window_into(next, window_end, &mut window);
         let expand_start = Instant::now();
-        let expansions = {
-            let window = store.window(next, batch_end);
-            expand_batch(&mut pool, &window, &meta[next..batch_end], &visited, &ctx)
-        };
-        expand_nanos += expand_start.elapsed().as_nanos() as u64;
-        let merge_start = Instant::now();
-        // Residency sampling point: immediately before each expansion's
-        // ordering pass — stored states plus every successor still
-        // buffered (this expansion's and later ones').  Suffix sums make the
-        // per-expansion sample O(1).
-        let mut buffered: Vec<(usize, u64)> = vec![(0, 0); expansions.len() + 1];
-        for (i, expansion) in expansions.iter().enumerate().rev() {
-            let mut fresh = buffered[i + 1];
-            for succ in &expansion.succs {
-                if let SuccState::Fresh { packed, .. } = &succ.state {
-                    fresh.0 += 1;
-                    fresh.1 += 8 * packed.words().len() as u64;
-                }
-            }
-            buffered[i] = fresh;
-        }
-
-        // Merge phase 1 (sequential, cheap): partition the fresh candidates
-        // by shard, preserving window order within each shard.
-        for sc in scratch.iter_mut() {
-            sc.reset();
-        }
-        for (e, expansion) in expansions.iter().enumerate() {
-            for (s, succ) in expansion.succs.iter().enumerate() {
-                if let SuccState::Fresh { key, .. } = &succ.state {
-                    scratch[shard_of(key)].cands.push((e as u32, s as u32));
-                }
-            }
-        }
-        // Merge phase 2 (parallel): per-shard dedup + canonical signatures.
-        resolve_batch(&mut scratch, &expansions, &visited, track_canon, workers);
-
-        // Merge phase 3 (sequential): the ordering pass.  Walks expansions
-        // in window order, consuming each shard's resolutions back in the
-        // order phase 1 produced them, and assigns global node ids at first
-        // occurrences — reproducing the sequential sweep exactly, including
-        // where it trips the state budget or stops on a violation.
-        let mut stopping = false;
-        'order: for (offset, expansion) in expansions.into_iter().enumerate() {
+        merge_nanos += (expand_start - load_start).as_nanos() as u64;
+        'window: for (offset, packed) in window.iter().enumerate() {
             let i = next + offset;
-            peak_resident = peak_resident.max(meta.len() + buffered[offset].0);
-            peak_resident_bytes = peak_resident_bytes.max(
-                store.payload_bytes()
-                    + buffered[offset].1
-                    + meta.len() as u64 * VISITED_ENTRY_BYTES,
+            let (aug_bits, fault) = (meta[i].aug_bits, meta[i].fault);
+            engine.restore_packed(packed);
+            engine.save_state_into(&mut before);
+            let crashed = fault_crashed(fault);
+            let corrupts = fault_corrupts(fault);
+            let before_aug = aug_template.from_key_bits(aug_bits);
+            let before_view = state_view(&before, crashed);
+            frontier_codes(
+                options.interleaving,
+                before.robots(),
+                crashed,
+                &mut frontier,
             );
-            for succ in expansion.succs {
-                let to = match succ.state {
-                    SuccState::Known(id) => id,
-                    SuccState::Fresh {
-                        packed,
-                        key,
-                        target,
-                    } => {
-                        let sc = &mut scratch[shard_of(&key)];
-                        let res = sc.res[sc.cursor];
-                        sc.cursor += 1;
-                        match res {
-                            MergeRes::Known(id) => id,
-                            MergeRes::Fresh(ordinal) => {
-                                let ordinal = ordinal as usize;
-                                if ordinal < sc.assigned.len() {
-                                    // In-batch duplicate of an earlier fresh
-                                    // successor; its id is already fixed.
-                                    sc.assigned[ordinal]
-                                } else {
-                                    debug_assert_eq!(
-                                        ordinal,
-                                        sc.assigned.len(),
-                                        "ordinals are assigned in shard order"
-                                    );
-                                    if meta.len() >= options.max_states {
-                                        budget = Some((meta.len(), offsets.len() - 1));
-                                        stopping = true;
-                                        break 'order;
-                                    }
-                                    if track_canon {
-                                        // One decode-based signature per
-                                        // *stored* state, computed in the
-                                        // parallel phase.
-                                        canonical_classes.insert(sc.fresh_sigs[ordinal]);
-                                    }
-                                    let id = meta.len() as u32;
-                                    sc.assigned.push(id);
-                                    store.push(packed);
-                                    meta.push(NodeMeta {
-                                        aug_bits: key.aug,
-                                        fault: key.fault,
-                                        parent: i as u32,
-                                        parent_code: succ.code,
-                                        target,
-                                    });
-                                    if record_align {
-                                        node_rank_ids.push(rank_to_id(succ.rank));
-                                    }
-                                    id
-                                }
-                            }
+            fault_codes(
+                options.interleaving,
+                before.robots(),
+                fault,
+                &options.faults,
+                &mut frontier,
+            );
+            let mut engine_dirty = false;
+            for &code in &frontier {
+                // `after` is `None` for a crash edge: pure adversary
+                // bookkeeping that leaves the engine state and the
+                // auxiliary state untouched and removes one more robot
+                // from every later frontier.  No step runs, so there is
+                // no safety check — but the liveness target is
+                // re-evaluated, since exempting a robot can *create* a
+                // target ("all non-crashed robots gathered").
+                let (key, progress, rank, after) = if let Some(victim) = crash_code_robot(code) {
+                    let new_fault = fault_word(crashed | 1 << victim, corrupts);
+                    (
+                        make_key(packed, aug_bits, effective_dedup, new_fault),
+                        false,
+                        0,
+                        None,
+                    )
+                } else {
+                    if engine_dirty {
+                        engine.restore_state(&before);
+                    }
+                    engine_dirty = true;
+                    // Corrupt edges drive their underlying step with a
+                    // one-shot corruption armed at the victim's
+                    // fresh-Look ordinal; the model is disarmed right
+                    // after, so every other edge steps fault-free.
+                    let corruption = corrupt_code_parts(code);
+                    let mut new_fault = fault;
+                    if let Some((_, kind, offset)) = corruption {
+                        engine.arm_fault(FaultModel::CorruptLook {
+                            look: engine.look_count() + offset,
+                            kind,
+                        });
+                        new_fault = fault_word(crashed, corrupts + 1);
+                    }
+                    let step = decode_step_with(
+                        engine_code(code).expect("non-crash codes drive a step"),
+                        &mut ssync_buf,
+                    );
+                    let result = engine.step_into(&step, &mut (), &mut report);
+                    recycle_step(step, &mut ssync_buf);
+                    if corruption.is_some() {
+                        engine.arm_fault(FaultModel::None);
+                    }
+                    let mut aug = before_aug.clone();
+                    let checked = match result {
+                        Err(e) => Err(e.to_string()),
+                        Ok(()) => {
+                            let progress =
+                                invariant.observe_step(&mut aug, &report, engine.configuration());
+                            let after_view =
+                                StateView::new(engine.configuration(), engine.robots())
+                                    .with_crashed(crashed);
+                            invariant
+                                .check_edge(&before_view, &after_view, &aug)
+                                .map(|()| progress)
                         }
+                    };
+                    let progress = match checked {
+                        Ok(progress) => progress,
+                        Err(message) => {
+                            let mut codes = codes_from_root(&meta, i);
+                            codes.push(code);
+                            safety_ce = Some(safety_counterexample(
+                                &codes,
+                                message,
+                                options.faults.starve_mask,
+                            ));
+                            break 'window;
+                        }
+                    };
+                    // The key straight from the live engine (no codec
+                    // round trip; equal to `make_key` of the packed
+                    // state), and the rank from the same canonical pass.
+                    let (sig, rank) = match effective_dedup {
+                        Dedup::Exact => (engine.behavior_sig(), 0),
+                        Dedup::Canonical if record_align => engine.canonical_sig_and_rank(),
+                        Dedup::Canonical => (engine.canonical_sig(), 0),
+                    };
+                    let key = Key {
+                        sig,
+                        aug: aug.key_bits(),
+                        fault: new_fault,
+                    };
+                    (key, progress, rank, Some(aug))
+                };
+                let to = match visited.get_or_insert(key, meta.len() as u32) {
+                    Some(to) => to,
+                    None => {
+                        // The map now holds a key the store never will;
+                        // harmless, since the sweep stops here.
+                        if meta.len() >= options.max_states {
+                            budget = Some((meta.len(), i));
+                            break 'window;
+                        }
+                        let (state, target) = match &after {
+                            None => (
+                                packed.clone(),
+                                reach_mode
+                                    && invariant.is_target(
+                                        &before_view.with_crashed(fault_crashed(key.fault)),
+                                        &before_aug,
+                                    ),
+                            ),
+                            Some(aug) => {
+                                let after_view =
+                                    StateView::new(engine.configuration(), engine.robots())
+                                        .with_crashed(crashed);
+                                (
+                                    engine.pack_behavior(),
+                                    reach_mode && invariant.is_target(&after_view, aug),
+                                )
+                            }
+                        };
+                        if track_canon {
+                            canonical_classes.insert(state.canonical_sig());
+                        }
+                        let id = meta.len() as u32;
+                        store.push(state);
+                        meta.push(NodeMeta {
+                            aug_bits: key.aug,
+                            fault: key.fault,
+                            parent: i as u32,
+                            parent_code: code,
+                            target,
+                        });
+                        if record_align {
+                            node_rank_ids.push(rank_to_id(rank));
+                        }
+                        id
                     }
                 };
-                progress_edges += u64::from(succ.progress);
+                progress_edges += u64::from(progress);
                 let align = record_align.then(|| {
-                    let after_rank = RobotPerm::from_bits(k, succ.rank);
+                    let after_rank = RobotPerm::from_bits(k, rank);
                     node_rank_ids[to as usize].compose(&after_rank).bits()
                 });
-                sink.push(Edge::new(to, succ.code, succ.progress), align);
-            }
-            if let Some((code, message)) = expansion.violation {
-                let mut codes = codes_from_root(&meta, i);
-                codes.push(code);
-                let mut prefix = Vec::new();
-                let mut faults = Vec::new();
-                realize_codes(&codes, 0, &mut prefix, &mut faults);
-                safety_ce = Some(Counterexample {
-                    kind: ViolationKind::Safety,
-                    message,
-                    prefix,
-                    cycle: Vec::new(),
-                    faults,
-                    starved: options.faults.starve_mask,
-                });
-                stopping = true;
-                break 'order;
+                sink.push(Edge::new(to, code, progress), align);
             }
             assert!(sink.len() <= u64::from(u32::MAX), "edge offsets are u32");
             offsets.push(sink.len() as u32);
         }
-        if stopping {
-            merge_nanos += merge_start.elapsed().as_nanos() as u64;
-            break 'bfs;
+        let seal_start = Instant::now();
+        expand_nanos += (seal_start - expand_start).as_nanos() as u64;
+        if safety_ce.is_some() || budget.is_some() {
+            break;
         }
-        // Merge phase 4 (parallel): commit the batch's assignments into the
-        // shard memtables, then give the budget accountant a seal point.
-        commit_batch(&mut visited, &scratch, workers);
-        merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        next = batch_end;
+        visited.maybe_seal();
+        merge_nanos += seal_start.elapsed().as_nanos() as u64;
+        next = window_end;
     }
 
     debug_assert_eq!(store.len(), meta.len(), "store and metadata desynced");
@@ -1628,8 +1232,10 @@ fn explore_graph<P: Protocol + Clone + Send>(
         edges: sink.len(),
         target_states: meta.iter().filter(|n| n.target).count(),
         progress_edges,
-        peak_resident_nodes: peak_resident,
-        peak_resident_bytes,
+        // Stored states and their visited entries only grow, so the peak
+        // is the final count.
+        peak_resident_nodes: meta.len(),
+        peak_resident_bytes: store.payload_bytes() + meta.len() as u64 * VISITED_ENTRY_BYTES,
         state_bytes: store.payload_bytes(),
         outcome,
     };
@@ -1646,12 +1252,28 @@ fn explore_graph<P: Protocol + Clone + Send>(
         offsets,
         store,
         sink,
-        engine: pool.swap_remove(0).engine,
+        engine,
         dedup: effective_dedup,
         full_mask,
         report,
         stats,
     })
+}
+
+/// The safety counterexample whose schedule is the edge path `codes` from
+/// the root; its last edge is the violating step.
+fn safety_counterexample(codes: &[u32], message: String, starved: u32) -> Counterexample {
+    let mut prefix = Vec::new();
+    let mut faults = Vec::new();
+    realize_codes(codes, 0, &mut prefix, &mut faults);
+    Counterexample {
+        kind: ViolationKind::Safety,
+        message,
+        prefix,
+        cycle: Vec::new(),
+        faults,
+        starved,
+    }
 }
 
 /// Edge codes from the root to node `i`, following BFS parent pointers.
@@ -1918,8 +1540,8 @@ fn liveness_violation(
 //   is robot `π(i)` of the stored representative).  Expansion computes it
 //   once, where it already canonicalizes the successor:
 //   [`Engine::canonical_sig_and_rank`] returns the successor's id → rank
-//   table `P_after` from the same canonical pass as its key, the merge's
-//   ordering pass composes `π = R_v ∘ P_after` with the stored target's
+//   table `P_after` from the same canonical pass as its key, the sweep
+//   composes `π = R_v ∘ P_after` with the stored target's
 //   rank → id table `R_v` (a per-node side vector), and the edge store
 //   keeps `π` next to the edge.  The analysis below only reads it — no edge
 //   is ever replayed;
@@ -1946,7 +1568,7 @@ fn liveness_violation(
 //
 // The whole analysis is a pure function of the stored quotient graph, so
 // verdicts and extracted counterexamples remain byte-identical across
-// worker counts and storage backends.
+// storage backends.
 
 /// Hard cap on threaded (quotient state × relabeling) pairs per candidate
 /// SCC.  Thread spaces are bounded by |SCC| × |subgroup generated by the
@@ -2695,60 +2317,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_report() {
-        // The headline determinism guarantee, in its smallest form: 1, 2 and
-        // 5 workers produce identical reports on a verified cell and
-        // identical counterexamples on a falsified one.  (The test suite in
-        // tests/parallel_determinism.rs covers this property more broadly.)
-        let initial = enumerate_rigid_configurations(7, 3).remove(0);
-        for mode in MODES {
-            let reports: Vec<ExploreReport> = [1usize, 2, 5]
-                .iter()
-                .map(|&w| {
-                    check_protocol_with_stats(
-                        &GatheringProtocol::new(),
-                        &initial,
-                        &GatheringInvariant::new(),
-                        &ExploreOptions::new(mode).with_workers(w),
-                    )
-                    .unwrap()
-                    .0
-                })
-                .collect();
-            assert_eq!(reports[0], reports[1], "mode={mode}");
-            assert_eq!(reports[0], reports[2], "mode={mode}");
-        }
-    }
-
-    #[test]
-    fn degenerate_worker_counts_are_clamped_and_well_defined() {
-        // `0` resolves to one worker per available core; anything above the
-        // batch width clamps to BATCH.  Every resolved count must produce
-        // the same report as a single worker.
-        assert_eq!(resolve_workers(1), 1);
-        assert_eq!(resolve_workers(BATCH + 7), BATCH);
-        assert_eq!(resolve_workers(usize::MAX), BATCH);
-        let auto = resolve_workers(0);
-        assert!((1..=BATCH).contains(&auto), "auto-detect clamps too");
-
-        let initial = enumerate_rigid_configurations(6, 3).remove(0);
-        let run = |w: usize| {
-            check_protocol_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(InterleavingMode::SsyncSubsets).with_workers(w),
-            )
-            .unwrap()
-            .0
-        };
-        let reference = run(1);
-        for degenerate in [0, BATCH + 7, usize::MAX] {
-            assert_eq!(run(degenerate), reference, "workers={degenerate}");
-        }
-    }
-
-    #[test]
     fn quotient_safety_pass_agrees_and_is_smaller() {
         let initial = enumerate_rigid_configurations(7, 3).remove(0);
         for mode in MODES {
@@ -2941,7 +2509,7 @@ mod tests {
         &ExploreOptions,
     ) -> Result<(ExploreReport, StoreStats), SimError>;
 
-    fn entry_points<P: Protocol + Clone + Send>() -> [(&'static str, EntryPoint<P>); 2] {
+    fn entry_points<P: Protocol + Clone>() -> [(&'static str, EntryPoint<P>); 2] {
         [
             ("exact", check_protocol_with_stats::<P>),
             ("quotient", check_protocol_quotient_with_stats::<P>),
@@ -3012,7 +2580,7 @@ mod tests {
     /// independent oracle: replay the edge on a fresh engine and align the
     /// successor onto the stored target with [`relabel_onto`].  Returns the
     /// number of edges checked.
-    fn assert_recorded_alignments<P: Protocol + Clone + Send>(
+    fn assert_recorded_alignments<P: Protocol + Clone>(
         protocol: &P,
         initial: &Configuration,
         invariant: &dyn Invariant,
@@ -3247,20 +2815,6 @@ mod tests {
                 completed_expansions: 1,
             }
         );
-        // Budget reporting is worker-independent like everything else.
-        for workers in [2usize, 7] {
-            let again = check_protocol_with_stats(
-                &GatheringProtocol::new(),
-                &initial,
-                &GatheringInvariant::new(),
-                &ExploreOptions::new(InterleavingMode::AsyncPhases)
-                    .with_max_states(4)
-                    .with_workers(workers),
-            )
-            .unwrap()
-            .0;
-            assert_eq!(again, report, "workers={workers}");
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   raw words plus sparse XOR deltas ([`PackedState::delta_from`]) for the
 //!   rest, and **every sealed cluster is appended to a temp file
 //!   immediately** — so the bytes written (`spilled_bytes`) are a
-//!   deterministic function of the state sequence, independent of worker
-//!   count and budget.  The budget only governs the cache of encoded
+//!   deterministic function of the state sequence, independent of the
+//!   budget.  The budget only governs the cache of encoded
 //!   clusters kept resident for window reads; edges stream to a second file
 //!   as fixed-size records (8 bytes, plus `⌈k/2⌉` where each edge also
 //!   carries its quotient alignment) and are loaded back only if the
@@ -74,51 +74,32 @@ pub struct StoreStats {
     pub store: StoreKind,
     /// Total bytes appended to the spill files (states + edges); `0` under
     /// [`StoreKind::Mem`].  Deterministic: a pure function of the explored graph,
-    /// independent of worker count and memory budget.
+    /// independent of the memory budget.
     pub spilled_bytes: u64,
     /// Bytes appended to the visited map's run file (sealed sorted runs plus
     /// compaction rewrites); `0` under [`StoreKind::Mem`].  Deterministic for
     /// a fixed (mode, budget) pair — sealing is driven by entry counts at
-    /// sequential merge points, never by worker timing — but, unlike
+    /// the sweep's window boundaries — but, unlike
     /// [`spilled_bytes`](StoreStats::spilled_bytes), it *does* depend on the
     /// memory budget: a tighter budget seals smaller memtables more often
     /// and compacts more.
     pub visited_spilled_bytes: u64,
-    /// Wall nanoseconds spent in the parallel expansion phase (workers
-    /// stepping engines).  **Not deterministic** — a diagnostic for the E16
-    /// scaling records, excluded from every cross-run comparison.
+    /// Wall nanoseconds of the breadth-first sweep spent expanding nodes:
+    /// stepping the engine, keying and probing each successor, packing and
+    /// storing new states and emitting edges.  **Not deterministic** — a
+    /// diagnostic for the E16 scaling records, excluded from every
+    /// cross-run comparison.
     pub expand_nanos: u64,
-    /// Wall nanoseconds spent in the batch merge (shard partition, parallel
-    /// per-shard dedup, the sequential ordering pass, memtable commit and
-    /// visited-map sealing).  **Not deterministic** — same status as
-    /// [`expand_nanos`](StoreStats::expand_nanos).
+    /// Wall nanoseconds of the sweep spent at window boundaries: loading
+    /// each window's states from the store and sealing the visited map.
+    /// Disjoint from [`expand_nanos`](StoreStats::expand_nanos); the two sum
+    /// to the sweep's time.  **Not deterministic** — same status.
     pub merge_nanos: u64,
 }
 
 /// States per spill cluster: the first state is the cluster base (raw
 /// words), the rest are sparse XOR deltas against it.
 pub(crate) const CLUSTER: usize = 64;
-
-/// A window of packed states handed to the expansion workers: borrowed
-/// straight from the store's open tail, or materialized from sealed
-/// clusters.
-pub(crate) enum FrontierWindow<'a> {
-    /// The window is a live slice of the open tail.
-    Resident(&'a [PackedState]),
-    /// The window was decoded from spilled clusters.
-    Loaded(Vec<PackedState>),
-}
-
-impl std::ops::Deref for FrontierWindow<'_> {
-    type Target = [PackedState];
-
-    fn deref(&self) -> &[PackedState] {
-        match self {
-            FrontierWindow::Resident(slice) => slice,
-            FrontierWindow::Loaded(vec) => vec,
-        }
-    }
-}
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -172,9 +153,8 @@ impl SpillFile {
         self.written
     }
 
-    /// Positional read through a **shared** reference: no seek, no shared
-    /// cursor, so concurrent readers (the expansion workers probing visited
-    /// runs) need no lock.
+    /// Positional read through a shared reference: no seek and no cursor
+    /// to move, so readers need not hold the file mutably.
     pub(crate) fn read_exact_at(&self, offset: u64, buf: &mut [u8]) {
         let Some((file, path)) = &self.file else {
             assert!(
@@ -220,10 +200,10 @@ impl Drop for SpillFile {
 
 /// Append-only storage of discovered states, addressed by node id in
 /// discovery order.  The explorer reads states back in two patterns only:
-/// contiguous [`window`](StateStore::window)s in ascending id order (the
-/// BFS), and point [`get`](StateStore::get)s (the quotient-liveness
-/// lasso realization) — both after all pushes the ids in question, never
-/// concurrently with a push.
+/// contiguous [`window_into`](StateStore::window_into) copies in ascending
+/// id order (the BFS, which keeps pushing while it walks a window), and
+/// point [`get`](StateStore::get)s (the quotient-liveness lasso
+/// realization) — both of ids already pushed.
 ///
 /// States accumulate in an open tail of up to [`CLUSTER`] states.  Under a
 /// budget a full tail is *sealed*: encoded (base + deltas), appended to the
@@ -277,7 +257,14 @@ impl StateStore {
         out
     }
 
-    fn decode_cluster(bytes: &[u8], states: usize) -> Vec<PackedState> {
+    /// Decodes the states at positions `range` of an encoded cluster of
+    /// [`CLUSTER`] states, appending them to `out`.  The whole cluster is
+    /// parsed, so trailing or missing bytes are caught on every read.
+    fn decode_cluster_into(
+        bytes: &[u8],
+        range: std::ops::Range<usize>,
+        out: &mut Vec<PackedState>,
+    ) {
         let mut cursor = bytes;
         let base_len = read_uleb(&mut cursor) as usize;
         let mut words = Vec::with_capacity(base_len);
@@ -287,16 +274,18 @@ impl StateStore {
             cursor = rest;
         }
         let base = PackedState::from_raw_words(words);
-        let mut out = Vec::with_capacity(states);
-        out.push(base.clone());
-        for _ in 1..states {
+        if range.contains(&0) {
+            out.push(base.clone());
+        }
+        for i in 1..CLUSTER {
             let len = read_uleb(&mut cursor) as usize;
             let (delta, rest) = cursor.split_at(len);
-            out.push(PackedState::apply_delta(&base, delta));
+            if range.contains(&i) {
+                out.push(PackedState::apply_delta(&base, delta));
+            }
             cursor = rest;
         }
         assert!(cursor.is_empty(), "trailing bytes in spilled cluster");
-        out
     }
 
     fn seal_tail(&mut self, budget: u64) {
@@ -317,13 +306,19 @@ impl StateStore {
         }
     }
 
-    /// The encoded bytes of sealed cluster `index`, from cache or disk.
-    fn cluster_bytes(&mut self, index: usize) -> Vec<u8> {
+    /// Decodes positions `range` of sealed cluster `index`, from the cache
+    /// or from disk, appending the states to `out`.
+    fn decode_sealed(
+        &self,
+        index: usize,
+        range: std::ops::Range<usize>,
+        out: &mut Vec<PackedState>,
+    ) {
         if let Some(bytes) = self.cache.get(&index) {
-            return bytes.clone();
+            return Self::decode_cluster_into(bytes, range, out);
         }
         let (offset, len) = self.spans[index];
-        self.file.read_at(offset, len as usize)
+        Self::decode_cluster_into(&self.file.read_at(offset, len as usize), range, out);
     }
 
     /// Appends a state; its id is the previous [`len`](StateStore::len).
@@ -359,45 +354,34 @@ impl StateStore {
         if id >= tail_base {
             return self.tail[id - tail_base].clone();
         }
-        let bytes = self.cluster_bytes(id / CLUSTER);
-        Self::decode_cluster(&bytes, CLUSTER).swap_remove(id % CLUSTER)
+        let mut out = Vec::with_capacity(1);
+        self.decode_sealed(id / CLUSTER, id % CLUSTER..id % CLUSTER + 1, &mut out);
+        out.pop().expect("one decoded state")
     }
 
-    /// The states `start..end`, in id order.
-    pub(crate) fn window(&mut self, start: usize, end: usize) -> FrontierWindow<'_> {
+    /// Replaces `out` with the states `start..end`, in id order.  The
+    /// window is a copy, so the caller may push states while it walks it.
+    pub(crate) fn window_into(&mut self, start: usize, end: usize, out: &mut Vec<PackedState>) {
         let tail_base = self.spans.len() * CLUSTER;
         // The BFS has consumed everything below `start`: those clusters
         // cannot be windowed again, so stop caching them.
-        let mut freed = 0u64;
-        let dead: Vec<usize> = self
-            .cache
-            .range(..start / CLUSTER)
-            .map(|(&i, _)| i)
-            .collect();
-        for index in dead {
-            if let Some(bytes) = self.cache.remove(&index) {
-                freed += bytes.len() as u64;
-            }
-        }
-        self.cache_bytes -= freed;
-        if start >= tail_base {
-            return FrontierWindow::Resident(&self.tail[start - tail_base..end - tail_base]);
-        }
-        let mut out = Vec::with_capacity(end - start);
-        let mut id = start;
-        while id < end {
-            if id >= tail_base {
-                out.extend_from_slice(&self.tail[id - tail_base..end - tail_base]);
+        while let Some(entry) = self.cache.first_entry() {
+            if *entry.key() >= start / CLUSTER {
                 break;
             }
+            self.cache_bytes -= entry.remove().len() as u64;
+        }
+        out.clear();
+        let mut id = start;
+        while id < end.min(tail_base) {
             let index = id / CLUSTER;
-            let bytes = self.cluster_bytes(index);
-            let states = Self::decode_cluster(&bytes, CLUSTER);
             let hi = end.min((index + 1) * CLUSTER);
-            out.extend_from_slice(&states[id % CLUSTER..hi - index * CLUSTER]);
+            self.decode_sealed(index, id % CLUSTER..hi - index * CLUSTER, out);
             id = hi;
         }
-        FrontierWindow::Loaded(out)
+        if id < end {
+            out.extend_from_slice(&self.tail[id - tail_base..end - tail_base]);
+        }
     }
 }
 
@@ -631,6 +615,12 @@ mod tests {
             .collect()
     }
 
+    fn window(store: &mut StateStore, start: usize, end: usize) -> Vec<PackedState> {
+        let mut out = vec![PackedState::from_raw_words(vec![7])];
+        store.window_into(start, end, &mut out);
+        out
+    }
+
     fn check_backend(budget: Option<u64>, states: &[PackedState]) {
         let mut store = StateStore::new(budget);
         for s in states {
@@ -654,8 +644,11 @@ mod tests {
             if start >= end {
                 continue;
             }
-            let window = store.window(start, end);
-            assert_eq!(&window[..], &states[start..end], "window {start}..{end}");
+            assert_eq!(
+                window(&mut store, start, end),
+                &states[start..end],
+                "window {start}..{end}"
+            );
         }
     }
 
@@ -685,7 +678,10 @@ mod tests {
         // states under both budgets.
         for start in (0..states.len()).step_by(7) {
             let end = (start + 7).min(states.len());
-            assert_eq!(&roomy.window(start, end)[..], &tight.window(start, end)[..]);
+            assert_eq!(
+                window(&mut roomy, start, end),
+                window(&mut tight, start, end)
+            );
         }
     }
 
@@ -750,7 +746,7 @@ mod tests {
                 // (the BFS pattern) but free to re-read sealed clusters.
                 let start = (pick % len as u64) as usize;
                 let end = (start + 1 + (pick >> 32) as usize % 96).min(len);
-                let got = spill.window(start, end);
+                let got = window(&mut spill, start, end);
                 proptest::prop_assert_eq!(&states[start..end], &got[..], "window {}..{}", start, end);
             }
         }

@@ -1,32 +1,33 @@
 //! The visited map: dedup keys → node ids, in RAM or out of core.
 //!
-//! The explorer's visited map is probed **lock-free from every expansion
-//! worker** (read-only during expansion) and mutated only at sequential
-//! merge points.  It is 64 hash-map memtable shards plus, under a memory
-//! budget, sorted runs on disk: when the `--mem-budget` accountant says the
-//! memtables outgrew their budget, the largest shard *seals*: its entries
-//! are sorted and appended to a process-private temp file as one immutable
-//! **run** of fixed 64-byte records, with a per-run Bloom filter
+//! The explorer's breadth-first sweep makes exactly one call per successor,
+//! [`Visited::get_or_insert`], which either returns the id the key already
+//! maps to or records it under the next id.  The map is
+//! 64 hash-map memtable shards plus, under a memory budget, sorted runs on
+//! disk: when the `--mem-budget` accountant says the memtables outgrew
+//! their budget, the largest shard *seals*: its entries are sorted and
+//! appended to a process-private temp file as one immutable **run** of
+//! fixed 64-byte records, with a per-run Bloom filter
 //! (~[`BLOOM_BITS_PER_KEY`] bits per key) and a sparse footer (every
 //! [`FOOTER_STRIDE`]-th key) kept resident.  A probe that misses the
 //! memtable consults each run's Bloom filter, binary-searches the footer to
 //! one [`FOOTER_STRIDE`]-record block, and reads that block with a single
-//! positional `read_at` — no seek, no lock, safe from concurrent workers.
-//! When a shard accumulates [`MAX_RUNS_PER_SHARD`] runs they are
-//! **compacted** into one (superseded run bytes stay in the temp file as
-//! garbage; the file is unlinked when the map is dropped, which the
-//! explorer does before its liveness pass).  Without a budget nothing ever
-//! seals, and the run file, created at the first seal, never exists.
+//! positional `read_at` into one reused block buffer.  When a shard
+//! accumulates [`MAX_RUNS_PER_SHARD`] runs they are **compacted** into one
+//! (superseded run bytes stay in the temp file as garbage; the file is
+//! unlinked when the map is dropped, which the explorer does before its
+//! liveness pass).  Without a budget nothing ever seals, and the run file,
+//! created at the first seal, never exists.
 //!
 //! Correctness does not depend on *when* shards seal: a lookup consults the
 //! memtable and every run, and a key lives in exactly one of them (an entry
 //! is inserted once and never updated).  The seal schedule itself is
-//! deterministic — it is driven by shard entry counts at sequential merge
-//! points, which are a pure function of the explored graph — so
-//! `visited_spilled_bytes` is reproducible for a fixed budget, independent
-//! of worker count.
+//! deterministic — it is driven by shard entry counts at the explorer's
+//! window boundaries, which are a pure function of the explored graph — so
+//! `visited_spilled_bytes` is reproducible for a fixed budget.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hasher;
 
@@ -81,12 +82,12 @@ fn cmp_keys(a: &Key, b: &Key) -> Ordering {
         .then(a.fault.cmp(&b.fault))
 }
 
-/// Shards of the visited map (and of the parallel merge).
-pub(crate) const VISITED_SHARDS: usize = 64;
+/// Shards of the visited map.
+const VISITED_SHARDS: usize = 64;
 
-/// The shard a key lives in: the top 6 bits of its mixed hash.
-pub(crate) fn shard_of(key: &Key) -> usize {
-    (key.mix() >> 58) as usize
+/// The shard of a key with mixed hash `mix`: its top 6 bits.
+fn shard_of(mix: u64) -> usize {
+    (mix >> 58) as usize
 }
 
 /// Logical bytes of one visited entry (key + node id) — the
@@ -222,8 +223,9 @@ impl Run {
     }
 
     /// Probes the run for `key`: Bloom first (resident), then a footer
-    /// binary search to one block, then a single positional block read.
-    fn probe(&self, file: &SpillFile, key: &Key, mix: u64) -> Option<u32> {
+    /// binary search to one block, then a single positional block read into
+    /// `buf`.
+    fn probe(&self, file: &SpillFile, key: &Key, mix: u64, buf: &mut Vec<u8>) -> Option<u32> {
         if !self.bloom.contains(mix) {
             return None;
         }
@@ -234,8 +236,8 @@ impl Run {
         };
         let start = block * FOOTER_STRIDE;
         let len = FOOTER_STRIDE.min(self.count as usize - start);
-        let mut buf = vec![0u8; len * RECORD_BYTES];
-        file.read_exact_at(self.offset + (start * RECORD_BYTES) as u64, &mut buf);
+        buf.resize(len * RECORD_BYTES, 0);
+        file.read_exact_at(self.offset + (start * RECORD_BYTES) as u64, buf);
         let mut lo = 0usize;
         let mut hi = len;
         while lo < hi {
@@ -266,13 +268,11 @@ impl Run {
 }
 
 /// One memtable shard.
-pub(crate) type Memtable = HashMap<Key, u32, SigHashBuilder>;
+type Memtable = HashMap<Key, u32, SigHashBuilder>;
 
 /// The visited map, sharded by the top bits of the key hash.  Shards stay
-/// individually small (cheaper growth, better locality), and the expansion
-/// phase probes the whole structure **read-only and lock-free** from every
-/// worker — memtable lookups and run probes both take `&self`; only the
-/// sequential merge points mutate (commit, seal, compact).
+/// individually small (cheaper growth, better locality) and seal to disk one
+/// at a time.
 pub(crate) struct Visited {
     shards: Vec<Memtable>,
     /// Memtable budget in logical entry bytes; crossing it seals shards.
@@ -281,6 +281,8 @@ pub(crate) struct Visited {
     /// The run file and the sealed runs of each shard.
     file: SpillFile,
     runs: Vec<Vec<Run>>,
+    /// The block buffer every run probe reads into.
+    block: Vec<u8>,
 }
 
 impl Visited {
@@ -290,31 +292,49 @@ impl Visited {
             budget,
             file: SpillFile::new("visited"),
             runs: (0..VISITED_SHARDS).map(|_| Vec::new()).collect(),
+            block: Vec::new(),
         }
     }
 
-    /// Read-only probe, safe to run concurrently from expansion workers.
-    pub(crate) fn get(&self, key: &Key) -> Option<u32> {
+    /// The id `key` maps to, or — when it maps to none — `None`, after
+    /// mapping it to `id`: one memtable probe that doubles as the insert,
+    /// and run probes only on a memtable miss.
+    pub(crate) fn get_or_insert(&mut self, key: Key, id: u32) -> Option<u32> {
         let mix = key.mix();
-        let shard = (mix >> 58) as usize;
+        let shard = shard_of(mix);
+        let entry = match self.shards[shard].entry(key) {
+            Entry::Occupied(entry) => return Some(*entry.get()),
+            Entry::Vacant(entry) => entry,
+        };
+        let block = &mut self.block;
+        if let Some(found) = self.runs[shard]
+            .iter()
+            .find_map(|run| run.probe(&self.file, &key, mix, block))
+        {
+            return Some(found);
+        }
+        entry.insert(id);
+        None
+    }
+
+    /// The id `key` maps to, if any.
+    #[cfg(test)]
+    pub(crate) fn get(&mut self, key: &Key) -> Option<u32> {
+        let mix = key.mix();
+        let shard = shard_of(mix);
         if let Some(&id) = self.shards[shard].get(key) {
             return Some(id);
         }
+        let block = &mut self.block;
         self.runs[shard]
             .iter()
-            .find_map(|run| run.probe(&self.file, key, mix))
+            .find_map(|run| run.probe(&self.file, key, mix, block))
     }
 
-    /// Inserts one entry directly (the root); the batch merge commits
-    /// through [`shard_maps_mut`](Visited::shard_maps_mut) instead.
+    /// Maps `key` to `id`; `key` must be absent.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, key: Key, id: u32) {
-        self.shards[shard_of(&key)].insert(key, id);
-    }
-
-    /// The memtable shards, for the merge's parallel per-shard commit:
-    /// shard `s` of this slice corresponds to [`shard_of`]` == s`.
-    pub(crate) fn shard_maps_mut(&mut self) -> &mut [Memtable] {
-        &mut self.shards
+        assert_eq!(self.get_or_insert(key, id), None, "key inserted twice");
     }
 
     /// Entries currently resident in the memtables.
@@ -343,12 +363,12 @@ impl Visited {
         self.runs.iter().map(Vec::len).sum()
     }
 
-    /// The `--mem-budget` accountant, called at sequential merge points:
-    /// while the memtables hold more logical entry bytes than the budget,
-    /// seal the largest shard (ties: lowest index) to a sorted run.  The
-    /// schedule depends only on deterministic entry counts — never on worker
-    /// timing — and sealing never changes a lookup's answer, only where it
-    /// is served from.
+    /// The `--mem-budget` accountant, called at the explorer's window
+    /// boundaries: while the memtables hold more logical entry bytes than
+    /// the budget, seal the largest shard (ties: lowest index) to a sorted
+    /// run.  The schedule depends only on deterministic entry counts, and
+    /// sealing never changes a lookup's answer, only where it is served
+    /// from.
     pub(crate) fn maybe_seal(&mut self) {
         let Some(budget) = self.budget else {
             return;
